@@ -76,11 +76,12 @@ let batch_inputs () =
 
 let test_batch_confidence () =
   let w, clause_sets = batch_inputs () in
-  let batch = Mc_confidence.prepare w clause_sets in
   let rng = Rng.create ~seed:208 in
   Test.make ~name:"confidence/batch-500-tuples"
     (Staged.stage (fun () ->
-         ignore (Mc_confidence.run ~nworkers:2 rng batch ~eps:0.3 ~delta:0.2)))
+         ignore
+           (Mc_confidence.run ~nworkers:2 rng w clause_sets ~eps:0.3
+              ~delta:0.2)))
 
 let test_thm52 () =
   let rng = Rng.create ~seed:204 in
@@ -348,16 +349,20 @@ let confidence_engine () =
   Report.table
     ~header:[ "karp-luby, 200k trials"; "median"; "speedup vs serial" ]
     ([ "serial"; Report.fmt_seconds serial; "1.00x" ] :: kl_rows);
-  (* 2. Batched compiled confidence vs a per-tuple prepare+fpras loop. *)
+  (* 2. Batched compiled confidence vs a per-tuple prepare+fpras loop.
+     Both sides are timed end to end: the loop prepares every DNF, the
+     batch compiles every tuple, then each solves. *)
   let w, clause_sets = batch_inputs () in
   let eps = 0.3 and delta = 0.2 in
+  let fpras_loop w sets ~seed =
+    let rng = Rng.create ~seed in
+    Array.iter
+      (fun clauses ->
+        ignore (Karp_luby.fpras rng (Dnf.prepare w clauses) ~eps ~delta))
+      sets
+  in
   let per_tuple =
-    Report.time_median (fun () ->
-        let rng = Rng.create ~seed:2 in
-        Array.iter
-          (fun clauses ->
-            ignore (Karp_luby.confidence rng w clauses ~eps ~delta))
-          clause_sets)
+    Report.time_median (fun () -> fpras_loop w clause_sets ~seed:2)
   in
   let fixed_trials =
     Array.fold_left
@@ -366,13 +371,15 @@ let confidence_engine () =
       0 clause_sets
   in
   record ~trials:fixed_trials "per-tuple-fpras-500" per_tuple per_tuple;
-  let batch = Mc_confidence.prepare w clause_sets in
-  let _, batch_stats =
-    Mc_confidence.run_with_stats (Rng.create ~seed:2) batch ~eps ~delta
+  let batch_run ?budget w sets ~seed =
+    let _, stats, _ =
+      Mc_confidence.run ?budget (Rng.create ~seed) w sets ~eps ~delta
+    in
+    stats
   in
+  let batch_stats = batch_run w clause_sets ~seed:2 in
   let batched =
-    Report.time_median (fun () ->
-        ignore (Mc_confidence.run (Rng.create ~seed:2) batch ~eps ~delta))
+    Report.time_median (fun () -> ignore (batch_run w clause_sets ~seed:2))
   in
   record
     ~trials:
@@ -395,12 +402,7 @@ let confidence_engine () =
      closed form and adaptively samples the hard residues. *)
   let wm, mixed_sets = mixed_inputs () in
   let mixed_fpras =
-    Report.time_median (fun () ->
-        let rng = Rng.create ~seed:3 in
-        Array.iter
-          (fun clauses ->
-            ignore (Karp_luby.confidence rng wm clauses ~eps ~delta))
-          mixed_sets)
+    Report.time_median (fun () -> fpras_loop wm mixed_sets ~seed:3)
   in
   let mixed_fixed_trials =
     Array.fold_left
@@ -409,13 +411,9 @@ let confidence_engine () =
       0 mixed_sets
   in
   record ~trials:mixed_fixed_trials "fpras-mixed-500" mixed_fpras mixed_fpras;
-  let mixed_batch = Mc_confidence.prepare wm mixed_sets in
-  let _, mixed_stats =
-    Mc_confidence.run_with_stats (Rng.create ~seed:3) mixed_batch ~eps ~delta
-  in
+  let mixed_stats = batch_run wm mixed_sets ~seed:3 in
   let mixed_compiled =
-    Report.time_median (fun () ->
-        ignore (Mc_confidence.run (Rng.create ~seed:3) mixed_batch ~eps ~delta))
+    Report.time_median (fun () -> ignore (batch_run wm mixed_sets ~seed:3))
   in
   let mixed_trials =
     Array.fold_left ( + ) 0 mixed_stats.Mc_confidence.trials_used
@@ -467,8 +465,10 @@ let confidence_engine () =
         adaptive_trials := 0;
         Array.iter
           (fun dnf ->
-            let _, n = Karp_luby.adaptive rng dnf ~eps:seps ~delta:sdelta in
-            adaptive_trials := !adaptive_trials + n)
+            let p =
+              Karp_luby.adaptive_partial rng dnf ~eps:seps ~delta:sdelta
+            in
+            adaptive_trials := !adaptive_trials + p.Karp_luby.p_trials)
           stop_dnfs)
   in
   record ~trials:!adaptive_trials "stopping-rule-500" adaptive_stop fixed_stop;
@@ -489,9 +489,10 @@ let confidence_engine () =
       ];
     ];
   (* 2d. Anytime governor (E6b).  Two claims: a generous budget costs about
-     the same as no budget (the governor is one atomic poll per estimator
-     trial), and shrinking deadlines trade certified interval width for
-     wall clock — the brackets widen but stay sound. *)
+     the same as no budget (both run the same loop; the difference is one
+     atomic poll and charge per estimator trial), and shrinking deadlines
+     trade certified interval width for wall clock — the brackets widen but
+     stay sound.  Every row times compile + solve. *)
   let mean_width (st : Mc_confidence.stats) =
     let n = Array.length st.Mc_confidence.intervals in
     if n = 0 then 0.
@@ -506,14 +507,9 @@ let confidence_engine () =
   let generous () = Budget.create ~max_trials:max_int () in
   let governed =
     Report.time_median (fun () ->
-        ignore
-          (Mc_confidence.run ~budget:(generous ()) (Rng.create ~seed:3)
-             mixed_batch ~eps ~delta))
+        ignore (batch_run ~budget:(generous ()) wm mixed_sets ~seed:3))
   in
-  let _, gov_stats =
-    Mc_confidence.run_with_stats ~budget:(generous ()) (Rng.create ~seed:3)
-      mixed_batch ~eps ~delta
-  in
+  let gov_stats = batch_run ~budget:(generous ()) wm mixed_sets ~seed:3 in
   let gov_trials =
     Array.fold_left ( + ) 0 gov_stats.Mc_confidence.trials_used
   in
@@ -523,14 +519,11 @@ let confidence_engine () =
     let seconds =
       Report.time_median (fun () ->
           ignore
-            (Mc_confidence.run
-               ~budget:(Budget.create ~deadline_s:d ())
-               (Rng.create ~seed:3) mixed_batch ~eps ~delta))
+            (batch_run ~budget:(Budget.create ~deadline_s:d ()) wm mixed_sets
+               ~seed:3))
     in
-    let _, st =
-      Mc_confidence.run_with_stats
-        ~budget:(Budget.create ~deadline_s:d ())
-        (Rng.create ~seed:3) mixed_batch ~eps ~delta
+    let st =
+      batch_run ~budget:(Budget.create ~deadline_s:d ()) wm mixed_sets ~seed:3
     in
     let trials = Array.fold_left ( + ) 0 st.Mc_confidence.trials_used in
     record ~trials ~width:(mean_width st)
@@ -567,9 +560,10 @@ let confidence_engine () =
     @ deadline_rows);
   (* 2e. Streaming shard engine (E6c).  Two claims: resident memory is
      bounded by the shard ceiling rather than the batch (the materialized
-     path keeps all 2000 compiled trees and sampling tables live at once,
-     the stream one shard's worth), and resuming a checkpointed run that
-     lost its final shard replays the journal instead of recomputing. *)
+     baseline — one shard holding the whole batch — keeps all 2000 compiled
+     trees and sampling tables live at once, the stream one shard's worth),
+     and resuming a checkpointed run that lost its final shard replays the
+     journal instead of recomputing.  Both sides time compile + solve. *)
   let ws2, stream_sets = stream_inputs () in
   let seps2 = 0.25 and sdelta2 = 0.1 in
   let live_now () =
@@ -577,15 +571,18 @@ let confidence_engine () =
     (Gc.stat ()).Gc.live_words
   in
   let base_live = live_now () in
-  let mat_batch = ref (Some (Mc_confidence.prepare ws2 stream_sets)) in
+  let mat_trees = Array.map (Compile.compile ws2) stream_sets in
   let mat_peak = live_now () - base_live in
+  ignore (Sys.opaque_identity mat_trees);
+  let mat_opts =
+    { Mc_confidence.default_stream_options with shard_cost = max_int }
+  in
   let mat_time =
     Report.time_median (fun () ->
         ignore
-          (Mc_confidence.run (Rng.create ~seed:5) (Option.get !mat_batch)
-             ~eps:seps2 ~delta:sdelta2))
+          (Mc_confidence.run ~options:mat_opts (Rng.create ~seed:5) ws2
+             stream_sets ~eps:seps2 ~delta:sdelta2))
   in
-  mat_batch := None;
   record ~peak_words:mat_peak "batch-materialized-2k" mat_time mat_time;
   (* One shard per tuple (the singleton rule): the per-shard ceiling is a
      single compiled tree, the strictest possible memory bound. *)
@@ -604,8 +601,8 @@ let confidence_engine () =
   let stream_time =
     Report.time_median (fun () ->
         ignore
-          (Mc_confidence.run_stream_with_stats ~options:stream_opts
-             (Rng.create ~seed:5) ws2 stream_sets ~eps:seps2 ~delta:sdelta2))
+          (Mc_confidence.run ~options:stream_opts (Rng.create ~seed:5) ws2
+             stream_sets ~eps:seps2 ~delta:sdelta2))
   in
   record ~peak_words:!stream_peak "stream-2k-shards" stream_time mat_time;
   (* Resume: journal a full streaming run, drop its final shard record (the
@@ -624,7 +621,7 @@ let confidence_engine () =
   let cold_once () =
     Sys.remove journal;
     ignore
-      (Mc_confidence.run_stream_with_stats ~compile_fuel:0
+      (Mc_confidence.run ~compile_fuel:0
          ~options:resume_opts (Rng.create ~seed:6) ws2
          (Array.sub stream_sets 0 200)
          ~eps:seps2 ~delta:sdelta2)
@@ -647,7 +644,7 @@ let confidence_engine () =
         Out_channel.with_open_bin journal (fun oc ->
             Out_channel.output_string oc truncated);
         ignore
-          (Mc_confidence.run_stream_with_stats ~compile_fuel:0
+          (Mc_confidence.run ~compile_fuel:0
              ~options:{ resume_opts with resume = true }
              (Rng.create ~seed:6) ws2
              (Array.sub stream_sets 0 200)

@@ -273,12 +273,11 @@ and eval_ann_raw ?budget ?stream ~aconf_ord ~cache ~eps0 ~max_rounds
          compiled/solved shard-at-a-time (bounded resident memory, optional
          crash-recovery journal); tuples that decompose fully are answered
          exactly and only the residues are sampled, adaptively, over the
-         domain pool.  Without a budget this is bit-identical to the old
-         materialized run; with one, the remaining allowance is split
+         domain pool.  With a budget, the remaining allowance is split
          across shards proportionally to their cost. *)
       let groups = Urelation.clauses_by_tuple a.au in
       let estimates, cstats, _summary =
-        Pqdb_montecarlo.Confidence.run_stream_with_stats ?budget
+        Pqdb_montecarlo.Confidence.run ?budget
           ?options:(stream_options_for stream aconf_ord) rng w
           (Array.of_list (List.map snd groups))
           ~eps ~delta

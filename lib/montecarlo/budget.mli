@@ -2,8 +2,9 @@
 
     A budget carries up to three cooperative limits — a wall-clock deadline,
     a total estimator-trial budget, and a cancellation flag — and is
-    threaded through the sampling layers ({!Karp_luby}, {!Compile.solve},
-    {!Confidence.run}, top-k, predicate decisions).  Layers poll
+    threaded through the sampling layers ({!Karp_luby.adaptive_partial},
+    {!Compile.solve}, {!Confidence.run_stream}, top-k, predicate
+    decisions).  Layers poll
     {!exhausted} inside their sampling loops and, on exhaustion, {e degrade
     instead of failing}: they stop sampling and report what the trials spent
     so far certify (a wider interval / a larger achieved ε), in the spirit
@@ -14,8 +15,9 @@
     draw from the same trial pool and watch the same deadline.  All
     operations are atomic/lock-free and safe from worker domains.
 
-    No-budget calls ([?budget] left [None]) take the exact pre-existing
-    code paths — zero overhead, bit-identical results. *)
+    A budget never changes which algorithm runs: no budget ([?budget] left
+    [None]) behaves as a budget that never exhausts, and a budget that
+    never exhausts gives bit-identical results. *)
 
 type t
 

@@ -124,9 +124,7 @@ type outcome = {
 (* Worst-case estimator calls to answer [dnf] at relative [eps], failure
    [delta] — the fixed Chernoff budget the adaptive sampler is capped at. *)
 let cost_cap dnf ~eps ~delta =
-  if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf then 0
-  else if Dnf.clause_count dnf = 1 then 0
-  else Pqdb_numeric.Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta
+  if Dnf.clause_count dnf = 1 then 0 else Karp_luby.trials_for dnf ~eps ~delta
 
 let residual_ub dnf = Float.min 1. (Dnf.total_weight dnf)
 
@@ -144,197 +142,46 @@ let vacuous_interval t =
     ( Float.max 0. (eval_node zeros t.root),
       Float.min 1. (eval_node ubs t.root) )
 
-(* Per-residual sampling result: estimate, sound probability interval,
-   relative error certified at the residual's δ share (0 = exact, infinity =
-   vacuous), and whether the residual's own (ε, δ) ask was met. *)
-type rres = { r_est : float; r_lo : float; r_hi : float; r_eps : float; r_ok : bool }
-
-let r_vacuous dnf =
-  { r_est = 0.; r_lo = 0.; r_hi = residual_ub dnf; r_eps = Float.infinity; r_ok = false }
-
-let r_point p = { r_est = p; r_lo = p; r_hi = p; r_eps = 0.; r_ok = true }
-
-let r_certified dnf ~eps p =
-  let ub = residual_ub dnf in
-  { r_est = p;
-    r_lo = Float.max 0. (p /. (1. +. eps));
-    r_hi = (if eps >= 1. then ub else Float.min ub (p /. (1. -. eps)));
-    r_eps = eps;
-    r_ok = true }
-
-(* One contained adaptive pass over a residual.  Any estimator failure
-   (injected or real) degrades that residual to its vacuous interval instead
-   of aborting the tuple. *)
-let sample_residual rng trials dnf ~eps ~delta =
-  match Karp_luby.adaptive rng dnf ~eps ~delta with
-  | p, n ->
-      trials := !trials + n;
-      if n = 0 then r_point p else r_certified dnf ~eps p
-  | exception _ -> r_vacuous dnf
-
-(* Returns (per-residual results, trials, complete): [complete] means the
-   pass certifies the root at relative [eps] (error propagation lemma +
-   union bound, or the exact-mass tightening argument below). *)
-let solve_residuals rng t ~eps ~delta =
-  let r = Array.length t.residuals in
-  let trials = ref 0 in
-  if eps >= 0.5 then begin
-    (* Coarse target: a single adaptive pass per residual at (eps, δ/r)
-       already meets the guarantee (error propagation lemma + union
-       bound). *)
-    let d = delta /. float_of_int r in
-    let rrs = Array.map (fun dnf -> sample_residual rng trials dnf ~eps ~delta:d) t.residuals in
-    (rrs, !trials, Array.for_all (fun rr -> rr.r_ok) rrs)
-  end
-  else begin
-    (* Exact-mass tightening.  Phase 1: coarse (ε₁ = ½) estimates of every
-       residual, spending δ/2r each.  They yield, with probability
-       ≥ 1 − δ/2:
-         T_lo = value(p̂/1.5)   ≤ true tuple confidence   (monotone tree)
-         S_hi = 1.5·Σ wᵢ·p̂ᵢ    ≥ Σ wᵢ·pᵢ                  (sensitivity)
-       Since |Δvalue| ≤ Σ wᵢ·|Δpᵢ| (the path weights bound the partial
-       derivatives of the multilinear tree), sampling every residual at
-       relative ε₂ keeps the tuple error ≤ ε₂·Σwᵢpᵢ ≤ ε₂·S_hi.  So
-       ε₂ = ε·T_lo/S_hi suffices for a relative-ε answer — the exact mass
-       already in T_lo buys a looser, cheaper residual target.  Phase 2
-       re-samples at (max ε ε₂, δ/2r); if ε₂ ≥ ½ the phase-1 estimates
-       are already good enough and phase 2 is skipped.  A residual that
-       failed in phase 1 contributes 0 to both bounds and is not
-       re-sampled; one that fails in phase 2 keeps its (coarser) phase-1
-       certificate.  Either failure voids the root's ε contract
-       ([complete = false]) but never its interval. *)
-    let eps1 = 0.5 in
-    let d = delta /. 2. /. float_of_int r in
-    let p1 =
-      Array.map (fun dnf -> sample_residual rng trials dnf ~eps:eps1 ~delta:d) t.residuals
-    in
-    let t_lo = eval_node (Array.map (fun rr -> rr.r_lo) p1) t.root in
-    (* Per-residual absolute-error capacity a_i ≥ w_i·p_i (w.h.p.): sampling
-       residual i at relative ε_i contributes ≤ a_i·ε_i to the root's
-       absolute error.  Failed residuals are excluded (they void the ε
-       contract anyway and are not re-sampled). *)
-    let a =
-      Array.mapi
-        (fun i rr ->
-          if rr.r_ok then (1. +. eps1) *. t.res_weights.(i) *. rr.r_est else 0.)
-        p1
-    in
-    let s_hi = Array.fold_left ( +. ) 0. a in
-    let e_total = eps *. t_lo in
-    if s_hi <= 0. || e_total >= eps1 *. s_hi then
-      (* Even a uniform ε₁ target fits inside ε·T_lo (or nothing was
-         sampled): the coarse pass already certifies the root at ε. *)
-      (p1, !trials, Array.for_all (fun rr -> rr.r_ok) p1)
-    else begin
-      (* Weight-aware targets.  Σ a_i·ε_i ≤ E = ε·T_lo keeps the root
-         within relative ε (absolute error ≤ Σ w_i·p_i·ε_i ≤ Σ a_i·ε_i ≤
-         ε·T_lo ≤ ε·v).  Under that constraint the trial spend Σ K_i/ε_i²
-         (K_i = clause count, the Chernoff cost scale) is minimized by
-         ε_i ∝ (K_i/a_i)^⅓ — cheap-but-heavy residuals get tight targets,
-         expensive-but-light ones looser — instead of the uniform
-         ε₂ = E/Σa_i split.  Targets are clamped to [ε, ε₁]: at ε₁ the
-         phase-1 certificate already suffices (no re-sample); a target
-         floored up to ε still charges a_i·ε against E (water-filling
-         redistributes the rest), and when even the all-ε floor overruns E
-         the allocation falls back to uniform ε — sound by the error
-         propagation lemma alone, exactly the pre-weighted behaviour. *)
-      let targets = Array.make r eps1 in
-      if e_total <= eps *. s_hi then
-        Array.iteri (fun i rr -> if rr.r_ok then targets.(i) <- eps) p1
-      else begin
-        let shape =
-          Array.mapi
-            (fun i rr ->
-              if (not rr.r_ok) || a.(i) <= 0. then 0.
-              else
-                Float.pow
-                  (float_of_int (Dnf.clause_count t.residuals.(i)) /. a.(i))
-                  (1. /. 3.))
-            p1
-        in
-        let floored = Array.make r false in
-        let rec fill () =
-          let e_free = ref e_total and denom = ref 0. in
-          Array.iteri
-            (fun i rr ->
-              if rr.r_ok && a.(i) > 0. then
-                if floored.(i) then e_free := !e_free -. (a.(i) *. eps)
-                else denom := !denom +. (a.(i) *. shape.(i)))
-            p1;
-          if !denom > 0. then
-            if !e_free <= 0. then
-              (* infeasible: floor everything — the ε fallback below *)
-              Array.iteri
-                (fun i rr ->
-                  if rr.r_ok && a.(i) > 0. then floored.(i) <- true)
-                p1
-            else begin
-              let c = !e_free /. !denom in
-              let changed = ref false in
-              Array.iteri
-                (fun i rr ->
-                  if rr.r_ok && a.(i) > 0. && not floored.(i) then begin
-                    let e_i = c *. shape.(i) in
-                    if e_i < eps then begin
-                      floored.(i) <- true;
-                      changed := true
-                    end
-                    else targets.(i) <- Float.min eps1 e_i
-                  end)
-                p1;
-              if !changed then fill ()
-            end
-        in
-        fill ();
-        Array.iteri (fun i f -> if f then targets.(i) <- eps) floored
-      end;
-      let rrs =
-        Array.mapi
-          (fun i rr1 ->
-            if not rr1.r_ok then rr1
-            else if targets.(i) >= eps1 then rr1
-            else
-              let rr2 =
-                sample_residual rng trials t.residuals.(i) ~eps:targets.(i)
-                  ~delta:d
-              in
-              if rr2.r_ok then rr2 else rr1)
-          p1
-      in
-      let complete = ref true in
-      Array.iteri
-        (fun i rr -> if not (rr.r_ok && rr.r_eps <= targets.(i)) then complete := false)
-        rrs;
-      (rrs, !trials, !complete)
-    end
-  end
+(* A residual whose sampling raised (injected or real): only its a-priori
+   interval [0, min(1, M)] is sound. *)
+let vacuous_partial dnf =
+  { Karp_luby.p_estimate = 0.; p_lo = 0.; p_hi = residual_ub dnf; p_trials = 0;
+    p_eps = Float.infinity; p_complete = false }
 
 (* Assemble the tuple outcome from per-residual results.  The interval
    always holds with probability ≥ 1 − δ: the monotone tree maps sound
    per-residual intervals to a sound root interval, and on a complete pass
-   the relative-ε claim [v/(1+ε), v/(1−ε)] is intersected in. *)
-let assemble t rrs ~eps ~trials ~complete =
-  let v = eval_node (Array.map (fun rr -> rr.r_est) rrs) t.root in
-  let lo_tree = eval_node (Array.map (fun rr -> rr.r_lo) rrs) t.root in
-  let hi_tree = eval_node (Array.map (fun rr -> rr.r_hi) rrs) t.root in
-  let lo = Float.max 0. lo_tree and hi = Float.min 1. hi_tree in
+   the relative-ε claim [v/(1+ε), v/(1−ε)] is intersected in.  The value is
+   projected into the interval, so [0 ≤ lo ≤ value ≤ hi ≤ 1] always. *)
+let assemble t (ps : Karp_luby.partial array) ~eps =
+  let tree f = eval_node (Array.map f ps) t.root in
+  let v = tree (fun p -> p.Karp_luby.p_estimate) in
+  let lo = Float.max 0. (tree (fun p -> p.Karp_luby.p_lo))
+  and hi = Float.min 1. (tree (fun p -> p.Karp_luby.p_hi)) in
+  let complete = Array.for_all (fun p -> p.Karp_luby.p_complete) ps in
   let lo, hi =
     if complete then
       ( Float.max lo (v /. (1. +. eps)),
         if eps >= 1. then hi else Float.min hi (v /. (1. -. eps)) )
     else (lo, hi)
   in
-  let mass = ref 0. in
-  Array.iteri (fun i rr -> mass := !mass +. (t.res_weights.(i) *. rr.r_est)) rrs;
+  let hi = Float.max lo hi in
+  let value = Float.min hi (Float.max lo v) in
+  let mass = ref 0. and trials = ref 0 in
+  Array.iteri
+    (fun i p ->
+      mass := !mass +. (t.res_weights.(i) *. p.Karp_luby.p_estimate);
+      trials := !trials + p.Karp_luby.p_trials)
+    ps;
   let achieved_eps =
     if complete then eps
-    else Array.fold_left (fun acc rr -> Float.max acc rr.r_eps) 0. rrs
+    else Array.fold_left (fun acc p -> Float.max acc p.Karp_luby.p_eps) 0. ps
   in
-  { value = v;
-    trials;
-    residual_mass = Float.min v !mass;
+  { value;
+    trials = !trials;
+    residual_mass = Float.min value !mass;
     lo;
-    hi = Float.max lo hi;
+    hi;
     achieved_eps;
     complete }
 
@@ -343,32 +190,34 @@ let exact_outcome v =
     achieved_eps = 0.; complete = true }
 
 (* The truncation-guard path samples the whole normalized DNF instead of the
-   residual leaves; the compiled tree still brackets the answer when that
-   sampling fails or runs out of budget. *)
-let fallback_outcome t partial =
-  let open Karp_luby in
+   residual leaves; the compiled tree still brackets the answer, and the
+   estimate is projected into the intersected bracket. *)
+let fallback_outcome t (p : Karp_luby.partial) =
   let tree_lo, tree_hi = vacuous_interval t in
-  let lo = Float.max tree_lo partial.p_lo
-  and hi = Float.min tree_hi partial.p_hi in
-  { value = partial.p_estimate;
-    trials = partial.p_trials;
-    residual_mass = partial.p_estimate;
+  let lo = Float.max tree_lo p.p_lo in
+  let hi = Float.max lo (Float.min tree_hi p.p_hi) in
+  let value = Float.min hi (Float.max lo p.p_estimate) in
+  { value;
+    trials = p.p_trials;
+    residual_mass = value;
     lo;
-    hi = Float.max lo hi;
-    achieved_eps = partial.p_eps;
-    complete = partial.p_complete }
+    hi;
+    achieved_eps = p.p_eps;
+    complete = p.p_complete }
 
 let solve ?budget rng t ~eps ~delta =
   if eps <= 0. || delta <= 0. then invalid_arg "Compile.solve";
   let r = Array.length t.residuals in
   if r = 0 then exact_outcome (eval_node [||] t.root)
   else begin
+    (* One adaptive pass per residual at (ε, δ/r): the error propagation
+       lemma and the union bound give the root (ε, δ). *)
+    let d = delta /. float_of_int r in
     (* Truncation guard: Shannon cut-off can leave residual leaves whose
        combined worst-case budget exceeds just sampling the original DNF
        (clauses get duplicated across branches).  Compare the caps and take
        whichever problem is cheaper — compilation must pay for itself. *)
     let compiled_cap =
-      let d = delta /. 2. /. float_of_int r in
       Array.fold_left
         (fun acc dnf -> acc + cost_cap dnf ~eps ~delta:d)
         0 t.residuals
@@ -390,33 +239,14 @@ let solve ?budget rng t ~eps ~delta =
             achieved_eps = (hi -. lo) /. 2.; complete = false }
     end
     else
-      match budget with
-      | None ->
-          let rrs, trials, complete = solve_residuals rng t ~eps ~delta in
-          assemble t rrs ~eps ~trials ~complete
-      | Some _ ->
-          (* Budget-governed: one partial pass per residual at (ε, δ/r),
-             all charging the shared governor.  Residuals past the deadline
-             come back with whatever interval their trials certify. *)
-          let d = delta /. float_of_int r in
-          let trials = ref 0 in
-          let rrs =
-            Array.map
-              (fun dnf ->
-                match Karp_luby.adaptive_partial ?budget rng dnf ~eps ~delta:d with
-                | p ->
-                    trials := !trials + p.Karp_luby.p_trials;
-                    { r_est = p.Karp_luby.p_estimate;
-                      r_lo = p.Karp_luby.p_lo;
-                      r_hi = p.Karp_luby.p_hi;
-                      r_eps = p.Karp_luby.p_eps;
-                      r_ok = p.Karp_luby.p_complete }
-                | exception _ -> r_vacuous dnf)
-              t.residuals
-          in
-          let complete = Array.for_all (fun rr -> rr.r_ok) rrs in
-          assemble t rrs ~eps ~trials:!trials ~complete
+      (* Every residual charges the optional shared governor; residuals past
+         it come back with whatever interval their trials certify, and an
+         estimator failure is contained to its residual. *)
+      assemble t ~eps
+        (Array.map
+           (fun dnf ->
+             match Karp_luby.adaptive_partial ?budget rng dnf ~eps ~delta:d with
+             | p -> p
+             | exception _ -> vacuous_partial dnf)
+           t.residuals)
   end
-
-let confidence ?fuel rng w clauses ~eps ~delta =
-  (solve rng (compile ?fuel w clauses) ~eps ~delta).value

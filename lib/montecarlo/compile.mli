@@ -9,7 +9,9 @@
     variable bound in every clause, and {e bounded} Shannon expansion on the
     most-shared variable — solving everything it can in closed form and
     leaving only the irreducible residues as prepared {!Dnf} leaves for the
-    adaptive Karp-Luby sampler.
+    engine's one adaptive Karp-Luby loop ({!Karp_luby.adaptive_partial}).
+    {!solve} is the single residual pass every approximate confidence goes
+    through — batches, top-k, conditioning and serve alike.
 
     {2 Error propagation}
 
@@ -100,49 +102,27 @@ val vacuous_interval : t -> float * float
     point when [is_exact]. *)
 
 val solve : ?budget:Budget.t -> Rng.t -> t -> eps:float -> delta:float -> outcome
-(** Estimate every residual with {!Karp_luby.adaptive} and evaluate the
-    tree; by the error propagation above the result is an (ε, δ) relative
+(** Estimate every residual with {!Karp_luby.adaptive_partial} at
+    [(ε, δ/r)] ([r] residuals) and evaluate the tree; by the error
+    propagation above and the union bound the result is an (ε, δ) relative
     approximation of the tuple confidence.  Residuals are sampled in order
     from the given RNG, so the outcome is deterministic per RNG state.
+    Every outcome satisfies [0 ≤ lo ≤ value ≤ hi ≤ 1]: the estimate is
+    projected into its certified bracket.
 
-    Two refinements make the residual phase pay only for what sampling must
-    actually decide:
-
-    {ul
-    {- {e Exact-mass tightening with weight-aware budgets} (for [ε < ½]): a
-       coarse ε₁ = ½ pass over the residuals yields a certified lower bound
-       [T_lo] on the tuple confidence (evaluate the monotone tree at
-       [p̂ᵢ/(1+ε₁)]) and per-residual error capacities
-       [aᵢ = (1+ε₁)·wᵢ·p̂ᵢ ≥ wᵢpᵢ].  Since the tree is multilinear with
-       [|∂P/∂p̂ᵢ| ≤ wᵢ], any per-residual targets with [Σ aᵢ·εᵢ ≤ ε·T_lo]
-       land the root within relative [ε] — closed-form mass directly
-       relaxes (quadratically cheapens) the residual budgets.  Under that
-       constraint the re-sampling spend [Σ Kᵢ/εᵢ²] ([Kᵢ] the clause count)
-       is minimized by [εᵢ ∝ (Kᵢ/aᵢ)^⅓] (water-filling, clamped to
-       [[ε, ε₁]]): heavy-but-cheap residuals get tight targets,
-       light-but-expensive ones looser, instead of one uniform
-       [ε₂ = ε·T_lo/S_hi] for all.  A residual whose target reaches ε₁
-       keeps its coarse certificate and is not re-sampled; when even the
-       all-ε floor overruns [ε·T_lo] every target falls back to [ε], the
-       plain union-bound regime.}
-    {- {e Truncation guard}: bounded Shannon expansion duplicates clauses
-       across branches, so the residual leaves can be collectively more
-       expensive than the original DNF.  [solve] compares worst-case
-       Chernoff caps and falls back to one adaptive pass over the whole
-       normalized DNF when that is cheaper — compilation never costs more
-       than a bounded overhead relative to pure FPRAS.}}
+    {e Truncation guard}: bounded Shannon expansion duplicates clauses
+    across branches, so the residual leaves can be collectively more
+    expensive than the original DNF.  [solve] compares the worst-case
+    Chernoff caps of the two problems and, when cheaper, runs one adaptive
+    pass at (ε, δ) over the whole normalized DNF instead, intersecting its
+    bracket with the compiled tree's — compilation never costs more than a
+    bounded overhead relative to pure FPRAS.
 
     {e Degradation}: estimator failures are contained per residual — a
     residual whose sampling raises keeps its vacuous interval and the tuple
     still comes back with a sound (wider) [lo, hi] and [complete = false].
-    With a [budget], every residual pass charges the shared governor
-    ({!Karp_luby.adaptive_partial}) and stops at exhaustion, reporting the
-    interval its partial trials certify.  Without a budget the call consumes
-    the RNG exactly as before and returns [complete = true] with
-    [achieved_eps = eps].
+    Every pass charges the optional [budget] and stops at its exhaustion,
+    reporting the interval its partial trials certify.  Without a budget
+    (or with one that never exhausts — the results are bit-identical) the
+    call returns [complete = true] with [achieved_eps = eps].
     @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)
-
-val confidence :
-  ?fuel:int -> Rng.t -> Wtable.t -> Assignment.t list ->
-  eps:float -> delta:float -> float
-(** [compile] + [solve], returning just the estimate. *)

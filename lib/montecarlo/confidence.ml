@@ -1,12 +1,6 @@
 open Pqdb_numeric
-open Pqdb_urel
 module Faultpoint = Pqdb_runtime.Faultpoint
 module Pqdb_error = Pqdb_runtime.Pqdb_error
-
-type batch = {
-  clause_sets : Assignment.t list array;
-  comps : Compile.t array;
-}
 
 type stats = {
   trials_used : int array;
@@ -16,163 +10,18 @@ type stats = {
   complete : bool;
 }
 
-let prepare ?compile_fuel w clause_sets =
-  (* Serial phase: compilation prepares every residual DNF's sampling tables
-     and forces the shared per-variable alias cache in the W table, so the
-     parallel phase below is read-only on all shared structures. *)
-  { clause_sets; comps = Array.map (Compile.compile ?fuel:compile_fuel w) clause_sets }
-
-let size batch = Array.length batch.comps
-
-let total_trials batch ~eps ~delta =
-  (* The historical cost model: the fixed Chernoff budget the pure FPRAS
-     would pay per tuple, before compilation removes the exact mass. *)
-  Array.fold_left
-    (fun acc clauses ->
-      match clauses with
-      | [] -> acc
-      | cs when List.exists Assignment.is_empty cs -> acc
-      | cs -> acc + Stats.karp_luby_trials ~clauses:(List.length cs) ~eps ~delta)
-    0 batch.clause_sets
-
-(* Cap on what the adaptive sampler can spend on tuple [i] — used only to
+(* Cap on what the adaptive sampler can spend on a tuple — used only to
    order the farmed work longest-first so stragglers start early. *)
-let cost_bound batch i ~eps ~delta =
+let cost_bound comp ~eps ~delta =
   Array.fold_left
-    (fun acc dnf ->
-      if Dnf.is_trivially_false dnf || Dnf.is_trivially_true dnf then acc
-      else acc + Stats.karp_luby_trials ~clauses:(Dnf.clause_count dnf) ~eps ~delta)
-    0
-    (Compile.residuals batch.comps.(i))
-
-type core = {
-  c_out : float array;
-  c_trials : int array;
-  c_masses : float array;
-  c_intervals : (float * float) array;
-  c_achieved : float array;
-  c_complete : bool;
-}
-
-(* The solve phase over pre-split per-tuple RNG lanes.  Tuple [i] consumes
-   only [lanes.(i)], so any partition of a batch into sub-batches run
-   through this (with the matching lane slices) produces bit-identical
-   per-tuple results — the property the streaming/resume layer rests on. *)
-let run_core ?budget ?nworkers lanes batch ~eps ~delta =
-  let nworkers =
-    match nworkers with Some n -> n | None -> Pool.default_workers ()
-  in
-  if nworkers <= 0 then
-    invalid_arg "Confidence.run: nworkers must be positive";
-  let n = size batch in
-  if Array.length lanes <> n then
-    invalid_arg "Confidence.run: one RNG lane per tuple";
-  let out = Array.make n 0. in
-  let trials_used = Array.make n 0 in
-  let masses = Array.make n 0. in
-  let intervals = Array.make n (0., 0.) in
-  let achieved = Array.make n 0. in
-  (* Flipped (from any domain) the moment a tuple misses its (ε, δ)
-     contract or a task/pool failure is contained. *)
-  let all_complete = Atomic.make true in
-  if n > 0 then begin
-    (* Tuples the compiler resolved in closed form cost nothing — fill them
-       here and farm only the ones with residual sampling work, longest
-       worst-case budget first.  Live tuples are pre-filled with their
-       a-priori compiled bracket so that a tuple whose task never runs (or
-       dies) still reports a sound interval instead of garbage; its
-       achieved_eps is the bracket's absolute half-width — the certificate
-       actually held — never the requested ε. *)
-    let live = ref [] in
-    Array.iteri
-      (fun i comp ->
-        match Compile.exact_value comp with
-        | Some p ->
-            out.(i) <- p;
-            intervals.(i) <- (p, p)
-        | None ->
-            let lo, hi = Compile.vacuous_interval comp in
-            out.(i) <- lo;
-            intervals.(i) <- (lo, hi);
-            achieved.(i) <- (hi -. lo) /. 2.;
-            live := i :: !live)
-      batch.comps;
-    let live =
-      Array.of_list
-        (List.stable_sort
-           (fun i j ->
-             compare (cost_bound batch j ~eps ~delta)
-               (cost_bound batch i ~eps ~delta))
-           (List.rev !live))
-    in
-    let ntasks = Array.length live in
-    if ntasks > 0 then begin
-      let task k =
-        let i = live.(k) in
-        match Compile.solve ?budget lanes.(i) batch.comps.(i) ~eps ~delta with
-        | o ->
-            out.(i) <- o.Compile.value;
-            trials_used.(i) <- o.Compile.trials;
-            masses.(i) <- o.Compile.residual_mass;
-            intervals.(i) <- (o.Compile.lo, o.Compile.hi);
-            achieved.(i) <- o.Compile.achieved_eps;
-            if not o.Compile.complete then Atomic.set all_complete false
-        | exception _ ->
-            (* Keep the pre-filled bracket; the batch must survive any
-               single tuple. *)
-            Atomic.set all_complete false
-      in
-      (* A pool-level failure (a task the pool itself could not run, a
-         spawn problem surfacing late) degrades the whole batch to its
-         pre-filled brackets rather than crashing it. *)
-      match Pool.run (Pool.create (min nworkers ntasks)) ~ntasks task with
-      | () -> ()
-      | exception _ -> Atomic.set all_complete false
-    end
-  end;
-  {
-    c_out = out;
-    c_trials = trials_used;
-    c_masses = masses;
-    c_intervals = intervals;
-    c_achieved = achieved;
-    c_complete = Atomic.get all_complete;
-  }
+    (fun acc dnf -> acc + Karp_luby.trials_for dnf ~eps ~delta)
+    0 (Compile.residuals comp)
 
 let exact_fraction_of ~out ~masses =
   let total_value = Array.fold_left ( +. ) 0. out in
   let sampled_mass = Array.fold_left ( +. ) 0. masses in
   if total_value <= 0. then 1.
   else Float.max 0. (1. -. (sampled_mass /. total_value))
-
-let run_with_stats ?budget ?nworkers rng batch ~eps ~delta =
-  if eps <= 0. || delta <= 0. then invalid_arg "Confidence.run";
-  let n = size batch in
-  (* One child stream and one output slot per tuple: the estimates are
-     bit-deterministic for a fixed parent RNG state, independent of the
-     pool size and of which domain runs which tuple. *)
-  let lanes = if n = 0 then [||] else Rng.split_n rng n in
-  let c = run_core ?budget ?nworkers lanes batch ~eps ~delta in
-  ( c.c_out,
-    {
-      trials_used = c.c_trials;
-      exact_fraction = exact_fraction_of ~out:c.c_out ~masses:c.c_masses;
-      intervals = c.c_intervals;
-      achieved_eps = c.c_achieved;
-      complete = c.c_complete;
-    } )
-
-let run ?budget ?nworkers rng batch ~eps ~delta =
-  fst (run_with_stats ?budget ?nworkers rng batch ~eps ~delta)
-
-let batch_fpras ?budget ?nworkers ?compile_fuel rng w clause_sets ~eps ~delta =
-  run ?budget ?nworkers rng (prepare ?compile_fuel w clause_sets) ~eps ~delta
-
-let approx_confidences ?budget ?nworkers ?compile_fuel rng w u ~eps ~delta =
-  let groups = Urelation.clauses_by_tuple u in
-  let batch = prepare ?compile_fuel w (Array.of_list (List.map snd groups)) in
-  let estimates = run ?budget ?nworkers rng batch ~eps ~delta in
-  List.mapi (fun i (t, _) -> (t, estimates.(i))) groups
 
 (* --- streaming / checkpointed execution --------------------------------- *)
 
@@ -240,29 +89,100 @@ let apriori_outcome ?compile_fuel w clause_sets (sh : Shard.t) ~fp ~error =
   }
 
 (* One attempt at one shard over the whole-batch lanes — the unit of work a
-   stream iteration, a retry, or a remote worker executes.  Copies the
-   shard's lane slice fresh, so every attempt (on any process) replays
-   exactly the stream a fault-free first attempt would have consumed; by
-   the run_core contract the outcome is bit-identical no matter where or in
-   what order shards run.  Fires the "shard.run" fault point; failures
-   propagate for the caller's retry/quarantine policy. *)
+   stream iteration, a retry, or a remote worker executes.  Tuple [j]
+   consumes only a fresh copy of its own lane, so every attempt (on any
+   process) replays exactly the stream a fault-free first attempt would have
+   consumed, and the outcome is bit-identical no matter where, in what
+   order, or under which shard geometry tuples run.  Fires the "shard.run"
+   fault point; failures propagate for the caller's retry/quarantine
+   policy. *)
 let solve_shard ?budget ?nworkers ?compile_fuel ~lanes w clause_sets
     (sh : Shard.t) ~fp ~eps ~delta =
   Faultpoint.fire "shard.run";
-  let batch =
-    prepare ?compile_fuel w (Array.sub clause_sets sh.first sh.count)
+  let nworkers =
+    match nworkers with Some n -> n | None -> Pool.default_workers ()
   in
-  let sub_lanes = Array.init sh.count (fun j -> Rng.copy lanes.(sh.first + j)) in
-  let c = run_core ?budget ?nworkers sub_lanes batch ~eps ~delta in
+  if nworkers <= 0 then
+    invalid_arg "Confidence.solve_shard: nworkers must be positive";
+  let n = sh.count in
+  (* Compiling prepares every residual DNF's sampling tables and forces the
+     shared per-variable alias cache in the W table, so the pooled solve
+     phase below is read-only on all shared structures. *)
+  let comps =
+    Array.init n (fun j ->
+        Compile.compile ?fuel:compile_fuel w clause_sets.(sh.first + j))
+  in
+  let estimates = Array.make n 0. in
+  let trials = Array.make n 0 in
+  let masses = Array.make n 0. in
+  let intervals = Array.make n (0., 0.) in
+  let achieved = Array.make n 0. in
+  (* Flipped (from any domain) the moment a tuple misses its (ε, δ)
+     contract or a task/pool failure is contained. *)
+  let all_complete = Atomic.make true in
+  (* Tuples the compiler resolved in closed form cost nothing — fill them
+     here and farm only the ones with residual sampling work, longest
+     worst-case budget first.  Live tuples are pre-filled with their
+     a-priori compiled bracket so that a tuple whose task never runs (or
+     dies) still reports a sound interval instead of garbage; its
+     achieved_eps is the bracket's absolute half-width — the certificate
+     actually held — never the requested ε. *)
+  let live = ref [] in
+  Array.iteri
+    (fun j comp ->
+      match Compile.exact_value comp with
+      | Some p ->
+          estimates.(j) <- p;
+          intervals.(j) <- (p, p)
+      | None ->
+          let lo, hi = Compile.vacuous_interval comp in
+          estimates.(j) <- lo;
+          intervals.(j) <- (lo, hi);
+          achieved.(j) <- (hi -. lo) /. 2.;
+          live := j :: !live)
+    comps;
+  let live =
+    Array.of_list
+      (List.stable_sort
+         (fun i j ->
+           compare (cost_bound comps.(j) ~eps ~delta)
+             (cost_bound comps.(i) ~eps ~delta))
+         (List.rev !live))
+  in
+  let ntasks = Array.length live in
+  if ntasks > 0 then begin
+    let task k =
+      let j = live.(k) in
+      let lane = Rng.copy lanes.(sh.first + j) in
+      match Compile.solve ?budget lane comps.(j) ~eps ~delta with
+      | o ->
+          estimates.(j) <- o.Compile.value;
+          trials.(j) <- o.Compile.trials;
+          masses.(j) <- o.Compile.residual_mass;
+          intervals.(j) <- (o.Compile.lo, o.Compile.hi);
+          achieved.(j) <- o.Compile.achieved_eps;
+          if not o.Compile.complete then Atomic.set all_complete false
+      | exception _ ->
+          (* Keep the pre-filled bracket; the shard must survive any single
+             tuple. *)
+          Atomic.set all_complete false
+    in
+    (* A pool-level failure (a task the pool itself could not run, a spawn
+       problem surfacing late) degrades the whole shard to its pre-filled
+       brackets rather than crashing it. *)
+    match Pool.run (Pool.create (min nworkers ntasks)) ~ntasks task with
+    | () -> ()
+    | exception _ -> Atomic.set all_complete false
+  end;
   {
     Shard.shard = sh;
     fp;
-    estimates = c.c_out;
-    intervals = c.c_intervals;
-    trials = c.c_trials;
-    achieved = c.c_achieved;
-    masses = c.c_masses;
-    complete = c.c_complete;
+    estimates;
+    intervals;
+    trials;
+    achieved;
+    masses;
+    complete = Atomic.get all_complete;
     resumed = false;
     quarantined = None;
   }
@@ -279,9 +199,9 @@ let run_stream ?budget ?nworkers ?compile_fuel
   let n = Array.length clause_sets in
   let shards = Shard.plan ~eps ~delta ~max_cost:options.shard_cost clause_sets in
   (* Per-tuple lanes are split over the WHOLE batch up front; shards consume
-     their tuples' lanes only.  Combined with the run_core contract this
-     makes the stream bit-identical to the materialized run — and to any
-     interrupted-and-resumed replay of itself. *)
+     their tuples' lanes only, which makes the stream bit-identical across
+     shard geometries — and to any interrupted-and-resumed replay of
+     itself. *)
   let lanes = if n = 0 then [||] else Rng.split_n rng n in
   let meta =
     Shard.meta_payload ~n ~eps ~delta ~fuel:compile_fuel
@@ -373,8 +293,7 @@ let run_stream ?budget ?nworkers ?compile_fuel
     journal_ok = Shard.journal_ok journal;
   }
 
-let run_stream_with_stats ?budget ?nworkers ?compile_fuel ?options rng w
-    clause_sets ~eps ~delta =
+let run ?budget ?nworkers ?compile_fuel ?options rng w clause_sets ~eps ~delta =
   let n = Array.length clause_sets in
   let out = Array.make n 0. in
   let trials_used = Array.make n 0 in

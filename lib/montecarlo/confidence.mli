@@ -3,22 +3,25 @@
     Where {!Karp_luby.fpras} answers one tuple by pure sampling, this module
     compiles every tuple's lineage first ({!Compile}): tuples that decompose
     fully are answered exactly for free, and only the irreducible residues
-    are farmed to the adaptive Karp-Luby sampler over the domain pool.  Not
-    to be confused with {!Pqdb_urel.Confidence}, the exact (#P-hard) solver.
+    are farmed to the adaptive Karp-Luby sampler ({!Compile.solve}) over
+    the domain pool.  Not to be confused with {!Pqdb_urel.Confidence}, the
+    exact (#P-hard) solver.
+
+    One engine, two shapes: {!run_stream} pushes per-shard outcomes to a
+    callback (bounded memory, optional crash-recovery journal), and {!run}
+    collects the same stream into per-tuple arrays.  {!solve_shard} is the
+    unit of work both — and the distributed coordinator — execute.
 
     Determinism contract: every tuple gets its own
-    {!Pqdb_numeric.Rng.split_n} child stream and its own output slot, and
-    runs its residual budgets serially on one domain.  For a fixed parent
-    RNG state (and fixed compilation fuel) the estimates are therefore
-    bit-identical across runs {e and across pool sizes}; parallelism is
-    across tuples only (shard a single huge tuple with
-    {!Karp_luby.run_parallel} instead). *)
+    {!Pqdb_numeric.Rng.split_n} child stream (split over the whole batch)
+    and its own output slot, and runs its residual budgets serially on one
+    domain.  For a fixed parent RNG state (and fixed compilation fuel) the
+    estimates are therefore bit-identical across runs, across pool sizes
+    and across shard geometries; parallelism is across tuples only (shard
+    a single huge tuple with {!Karp_luby.run_parallel} instead). *)
 
 open Pqdb_numeric
-open Pqdb_relational
 open Pqdb_urel
-
-type batch
 
 type stats = {
   trials_used : int array;
@@ -48,67 +51,15 @@ type stats = {
           but the estimates and brackets are still sound. *)
 }
 
-val prepare : ?compile_fuel:int -> Wtable.t -> Assignment.t list array -> batch
-(** Serial preparation: compiles each clause set ({!Compile.compile}, fuel
-    default {!Compile.default_fuel}; [~compile_fuel:0] recovers the pure
-    per-tuple FPRAS baseline) and forces the shared W-table alias cache,
-    leaving the sampling phase read-only. *)
-
-val size : batch -> int
-
-val total_trials : batch -> eps:float -> delta:float -> int
-(** Σ per-tuple fixed Chernoff budgets — what the {e uncompiled} FPRAS would
-    pay.  The compiled run typically spends far less; compare against
-    {!stats.trials_used}. *)
-
-val run :
-  ?budget:Budget.t -> ?nworkers:int -> Rng.t -> batch ->
-  eps:float -> delta:float -> float array
-(** Per-tuple (ε, δ) estimates, in the order of the prepared clause sets.
-    [nworkers] defaults to {!Pool.default_workers}.
-    @raise Invalid_argument when [eps <= 0], [delta <= 0] or [nworkers <= 0]. *)
-
-val run_with_stats :
-  ?budget:Budget.t -> ?nworkers:int -> Rng.t -> batch ->
-  eps:float -> delta:float -> float array * stats
-(** As {!run}, also reporting the per-tuple trial spend, the batch exact
-    fraction, and the soundness brackets.
-
-    With a [budget], all tuples charge the shared governor and the call is
-    {e anytime}: on exhaustion the remaining sampling is cut short and
-    every tuple still reports a sound interval — the partial-trial bracket
-    for tuples cut mid-flight, the a-priori compiled bracket for tuples
-    never reached — with [stats.complete = false].  Without a budget the
-    estimates are bit-identical to previous releases.
-
-    The call never throws because of a single tuple: per-tuple failures
-    (including injected ones) are contained and degrade that tuple to its
-    sound bracket; pool-level failures degrade the whole batch to the
-    pre-filled brackets. *)
-
-val batch_fpras :
-  ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int -> Rng.t ->
-  Wtable.t -> Assignment.t list array -> eps:float -> delta:float ->
-  float array
-(** [prepare] + [run]. *)
-
-val approx_confidences :
-  ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int -> Rng.t ->
-  Wtable.t -> Urelation.t -> eps:float -> delta:float ->
-  (Tuple.t * float) list
-(** The approximate [conf(R)]: every possible tuple of [u] with its (ε, δ)
-    confidence estimate, grouped via
-    {!Pqdb_urel.Urelation.clauses_by_tuple}. *)
-
 (** {1 Streaming, checkpointed execution}
 
     {!run_stream} processes a batch shard-at-a-time ({!Shard.plan}): only
     one shard's compiled trees and samplers are resident at a time, so
     memory is bounded by the shard cost ceiling rather than the batch, and
     results are pushed to [emit] incrementally.  Per-tuple RNG lanes are
-    split over the whole batch up front, so without a budget the stream is
-    {e bit-identical} to {!run_with_stats} — and, through the journal, to
-    any interrupted-and-resumed replay of itself. *)
+    split over the whole batch up front, so the stream is bit-identical
+    across shard geometries — and, through the journal, to any
+    interrupted-and-resumed replay of itself. *)
 
 type stream_options = {
   shard_cost : int;
@@ -197,11 +148,25 @@ val run_stream :
     corrupt mid-file or was written by a different run (parameters,
     geometry or data fingerprint mismatch). *)
 
-val run_stream_with_stats :
+val run :
   ?budget:Budget.t -> ?nworkers:int -> ?compile_fuel:int ->
   ?options:stream_options -> Rng.t -> Wtable.t -> Assignment.t list array ->
   eps:float -> delta:float -> float array * stats * stream_summary
-(** {!run_stream} collected into the {!run_with_stats} shape (plus the
-    stream summary), for callers that want checkpointing/containment but a
-    materialized result.  Without a budget the arrays are bit-identical to
-    {!run_with_stats} on the same inputs. *)
+(** {!run_stream} collected into per-tuple arrays: the (ε, δ) estimates in
+    clause-set order, their {!stats}, and the stream summary.  Compilation
+    fuel defaults to {!Compile.default_fuel}; [~compile_fuel:0] recovers
+    the pure per-tuple FPRAS baseline.  [nworkers] defaults to
+    {!Pool.default_workers}.
+
+    With a [budget], all tuples charge the shared governor and the call is
+    {e anytime}: on exhaustion the remaining sampling is cut short and
+    every tuple still reports a sound interval — the partial-trial bracket
+    for tuples cut mid-flight, the a-priori compiled bracket for tuples
+    never reached — with [stats.complete = false].  A budget that never
+    exhausts gives results bit-identical to no budget.
+
+    The call never throws because of a single tuple: per-tuple failures
+    (including injected ones) are contained and degrade that tuple to its
+    sound bracket; pool-level failures degrade the shard to its pre-filled
+    brackets, and shard-level failures quarantine it.
+    @raise Invalid_argument as {!run_stream}. *)

@@ -3,10 +3,14 @@
 
     Running the estimator [m] times and averaging gives
     [p̂ = X·M/m] with [Pr(|p̂ − p| ≥ ε·p) ≤ 2·exp(−m·ε²/(3·|F|))]; choosing
-    [m = ⌈3·|F|·ln(2/δ)/ε²⌉] yields an (ε, δ) guarantee. *)
+    [m = ⌈3·|F|·ln(2/δ)/ε²⌉] yields an (ε, δ) guarantee.
+
+    Two halves: the paper's fixed-budget FPRAS ({!run}, {!fpras} and their
+    parallel variants — the reference the tests and benches measure
+    against), and the engine's single adaptive loop {!adaptive_partial},
+    which every approximate confidence in pqdb is computed with. *)
 
 open Pqdb_numeric
-open Pqdb_urel
 
 val run : Rng.t -> Dnf.t -> trials:int -> float
 (** [p̂] after exactly [trials] estimator calls.  Degenerate DNFs (no clauses
@@ -35,42 +39,28 @@ val fpras_parallel :
 val trials_for : Dnf.t -> eps:float -> delta:float -> int
 (** The [m] used by {!fpras} (0 for degenerate DNFs). *)
 
-val confidence : Rng.t -> Wtable.t -> Assignment.t list ->
-  eps:float -> delta:float -> float
-(** Convenience: prepare + fpras. *)
-
 (** {1 Adaptive stopping (Dagum–Karp–Luby–Ross)}
 
     The fixed Chernoff budget [3·|F|·ln(2/δ)/ε²] provisions for the
-    worst-case mean [μ = p/M ≥ 1/|F|].  The optimal-stopping approach of
+    worst-case mean [μ = p/M ≥ 1/|F|].  The optimal-stopping rule of
     Dagum, Karp, Luby and Ross ("An optimal algorithm for Monte Carlo
     estimation") instead spends [O(ln(1/δ)/(ε²·μ))] expected trials — the
     win is a factor of [|F|·μ], which on real lineage (few deeply
-    overlapping clauses) is most of the budget. *)
+    overlapping clauses) is most of the budget.
 
-val adaptive : Rng.t -> Dnf.t -> eps:float -> delta:float -> float * int
-(** [(p̂, trials)] with [Pr(|p̂ − p| ≥ ε·p) ≤ δ].  Degenerate and
-    single-clause DNFs are answered exactly with 0 trials.  For [ε ≥ ½] one
-    stopping-rule phase runs; below that, a two-phase AA-style schedule:
-    a rough stopping-rule estimate at ε₁ = ½ (δ/2), then a fresh Chernoff
-    batch sized by the estimated mean (δ/2).  Every phase is capped at its
-    fixed-budget equivalent, so the trial count never exceeds roughly the
-    non-adaptive cost and the guarantee holds on the capped path too.
-    Deterministic given the RNG state.
-    @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)
-
-val fpras_adaptive : Rng.t -> Dnf.t -> eps:float -> delta:float -> float
-(** [fst ∘ adaptive] — drop-in replacement for {!fpras}. *)
-
-(** {1 Budget-governed estimation}
-
-    When a {!Budget} is supplied, sampling stops the moment the governor is
-    exhausted and the result reports what the trials spent so far certify:
+    This is the one adaptive sampling loop of the engine: every approximate
+    confidence ({!Compile.solve}, and through it {!Confidence}, top-k,
+    conditioning and serve) is estimated here.  An optional {!Budget} stops
+    it early; the result then reports what the trials spent so far certify:
     a sound probability interval [[p_lo, p_hi]] and the achieved relative
-    error [p_eps] at the requested confidence δ. *)
+    error [p_eps] at the requested confidence δ.  Without a budget the loop
+    simply never stops early — a never-exhausted budget gives bit-identical
+    results. *)
 
 type partial = {
-  p_estimate : float;  (** point estimate (0 when no trial ran) *)
+  p_estimate : float;
+      (** point estimate, always inside [[p_lo, p_hi]] (0 when no trial
+          ran) *)
   p_lo : float;        (** certified lower bound, in [0, 1] *)
   p_hi : float;        (** certified upper bound, ≤ min(1, M) *)
   p_trials : int;      (** estimator calls actually spent *)
@@ -83,11 +73,15 @@ type partial = {
 
 val adaptive_partial :
   ?budget:Budget.t -> Rng.t -> Dnf.t -> eps:float -> delta:float -> partial
-(** Without a budget this delegates to {!adaptive} (same RNG consumption,
-    same estimate) and always returns [p_complete = true].  With a budget it
-    runs a single DKLR stopping-rule phase at (ε, δ), charging one trial at
-    a time and polling {!Budget.exhausted}; on exhaustion the partial-trial
+(** One DKLR stopping-rule phase at (ε, δ): sample until the success count
+    reaches [Υ₁ = 1 + (1+ε)·4(e−2)·ln(2/δ)/ε²], capped at the fixed
+    Chernoff budget {!trials_for} (whose plain mean meets (ε, δ) by
+    construction), so [Pr(|p̂ − p| ≥ ε·p) ≤ δ] on both exits.  The estimate
+    is projected into its certified interval, which never increases the
+    error.  With a [budget], {!Budget.exhausted} is polled before each
+    trial and each trial is charged to it; on exhaustion the partial-trial
     Chernoff inversion above yields the interval (vacuous [0, min(1, M)]
     when nothing can be said).  Degenerate and single-clause DNFs are
-    answered exactly with a point interval and 0 trials either way.
+    answered exactly with a point interval and 0 trials.  Deterministic
+    given the RNG state.
     @raise Invalid_argument when [eps <= 0] or [delta <= 0]. *)

@@ -1,9 +1,8 @@
 (** Shard planning and checkpoint records for streaming batch confidence.
 
     A shard is a contiguous run of batch tuples whose summed {e worst-case}
-    sampling cost (the fixed Chernoff budget of the uncompiled FPRAS, the
-    same a-priori model as {!Confidence.total_trials}) fits under a caller
-    chosen ceiling.  {!Confidence.run_stream} compiles and solves one shard
+    sampling cost (the fixed Chernoff budget of the uncompiled FPRAS,
+    {!Karp_luby.trials_for}) fits under a caller chosen ceiling.  {!Confidence.run_stream} compiles and solves one shard
     at a time, so resident memory is bounded by the shard ceiling rather
     than the batch, and journals one {!outcome} record per shard so a killed
     run loses at most the shard in flight.

@@ -183,43 +183,6 @@ let by_decomposition w clauses =
   in
   weight clauses
 
-(* Float variant of the Shannon expansion: same structure, machine floats.
-   Used by the ablation experiment E15 — faster constants, rounding error. *)
-let by_shannon_float w clauses =
-  let memo = Hashtbl.create 64 in
-  let rec weight clauses =
-    if clauses = [] then 0.
-    else if List.exists Assignment.is_empty clauses then 1.
-    else begin
-      let key = canonical clauses in
-      match Hashtbl.find_opt memo key with
-      | Some p -> p
-      | None ->
-          let v =
-            match pick_var clauses with
-            | Some v -> v
-            | None -> assert false
-          in
-          let n = Wtable.domain_size w v in
-          let p = ref 0. in
-          for x = 0 to n - 1 do
-            let residual =
-              List.filter_map
-                (fun a ->
-                  match Assignment.value a v with
-                  | Some y when y <> x -> None
-                  | Some _ -> Some (Assignment.remove a v)
-                  | None -> Some a)
-                clauses
-            in
-            p := !p +. (Wtable.prob_float w v x *. weight residual)
-          done;
-          Hashtbl.add memo key !p;
-          !p
-    end
-  in
-  weight clauses
-
 let exact = by_shannon
 
 let tuple_confidence w u tuple =

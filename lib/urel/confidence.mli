@@ -27,10 +27,6 @@ val by_decomposition : Wtable.t -> Assignment.t list -> Rational.t
     [1 − Π(1 − pᵢ)] instead of branching — often exponentially faster on
     sparse DNFs, still exact. *)
 
-val by_shannon_float : Wtable.t -> Assignment.t list -> float
-(** Shannon expansion over machine floats: the fast-but-inexact variant
-    ablated in experiment E15.  Not used by the exact query path. *)
-
 val tuple_confidence :
   Wtable.t -> Urelation.t -> Pqdb_relational.Tuple.t -> Rational.t
 (** Confidence of one possible tuple of a U-relation. *)

@@ -171,15 +171,18 @@ let stream_opts ?checkpoint ?(resume = false) ?(retries = 2) ~shard_cost () =
 let run_stream ?budget ?compile_fuel ~options w clause_sets =
   let rng = Rng.create ~seed:99 in
   let out, stats, summary =
-    Confidence.run_stream_with_stats ?budget ?compile_fuel ~options rng w
-      clause_sets ~eps ~delta
+    Confidence.run ?budget ?compile_fuel ~options rng w clause_sets ~eps
+      ~delta
   in
   ((out, stats), summary)
 
+(* The default shard geometry, collected into arrays. *)
 let run_materialized ?budget ?compile_fuel w clause_sets =
   let rng = Rng.create ~seed:99 in
-  let batch = Confidence.prepare ?compile_fuel w clause_sets in
-  Confidence.run_with_stats ?budget rng batch ~eps ~delta
+  let out, stats, _ =
+    Confidence.run ?budget ?compile_fuel rng w clause_sets ~eps ~delta
+  in
+  (out, stats)
 
 (* ------------------------------------------------------------------ *)
 (* 0. Environment smoke: whatever site CI armed, a checkpointed stream
@@ -660,7 +663,7 @@ let test_meta_mismatch () =
          are meaningless for the new run — typed failure, not a resume. *)
       let rng = Rng.create ~seed:99 in
       match
-        Confidence.run_stream_with_stats
+        Confidence.run
           ~options:(stream_opts ~checkpoint:path ~resume:true ~shard_cost ())
           rng w clause_sets ~eps:(eps /. 2.) ~delta
       with

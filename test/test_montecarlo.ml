@@ -355,13 +355,22 @@ let batch_fixture () =
   in
   (w, clause_sets)
 
+(* The materialized batch run: estimates and stats, summary dropped. *)
+let run_batch ?budget ?nworkers ?compile_fuel rng w clause_sets ~eps ~delta =
+  let estimates, stats, _ =
+    Confidence.run ?budget ?nworkers ?compile_fuel rng w clause_sets ~eps
+      ~delta
+  in
+  (estimates, stats)
+
 let test_batch_deterministic_across_pool_sizes () =
   (* The batch engine's stronger contract: estimates depend on the parent
      RNG state only — not on the pool size, not on scheduling. *)
   let w, clause_sets = batch_fixture () in
-  let batch = Confidence.prepare w clause_sets in
   let run nworkers =
-    Confidence.run ~nworkers (Rng.create ~seed:61) batch ~eps:0.1 ~delta:0.1
+    fst
+      (run_batch ~nworkers (Rng.create ~seed:61) w clause_sets ~eps:0.1
+         ~delta:0.1)
   in
   let reference = run 1 in
   List.iter
@@ -382,9 +391,9 @@ let test_batch_matches_exact () =
       (fun clauses -> Q.to_float (Pqdb_urel.Confidence.exact w clauses))
       clause_sets
   in
-  let estimates =
-    Confidence.batch_fpras ~nworkers:2 (Rng.create ~seed:71) w clause_sets
-      ~eps:0.05 ~delta:0.05
+  let estimates, _ =
+    run_batch ~nworkers:2 (Rng.create ~seed:71) w clause_sets ~eps:0.05
+      ~delta:0.05
   in
   check int_c "one estimate per clause set" (Array.length clause_sets)
     (Array.length estimates);
@@ -399,27 +408,37 @@ let test_batch_matches_exact () =
     exact
 
 let test_batch_trials_accounting () =
+  (* Per-tuple spend is reported exactly: it sums to the stream's total and
+     to what a never-exhausted governor was charged, and no tuple spends
+     more than its fixed Chernoff budget (the adaptive loop's cap). *)
   let w, clause_sets = batch_fixture () in
-  let batch = Confidence.prepare w clause_sets in
-  check int_c "batch size" 4 (Confidence.size batch);
-  let expected =
-    Array.fold_left
-      (fun acc clauses ->
-        acc
-        + Karp_luby.trials_for (Dnf.prepare w clauses) ~eps:0.1 ~delta:0.1)
-      0 clause_sets
+  let b = Budget.create () in
+  let estimates, stats, summary =
+    Confidence.run ~budget:b ~compile_fuel:0 (Rng.create ~seed:1) w
+      clause_sets ~eps:0.1 ~delta:0.1
   in
-  check int_c "total_trials sums per-tuple budgets" expected
-    (Confidence.total_trials batch ~eps:0.1 ~delta:0.1);
-  Alcotest.check_raises "bad eps" (Invalid_argument "Confidence.run")
+  check int_c "one estimate per tuple" 4 (Array.length estimates);
+  let spent = Array.fold_left ( + ) 0 stats.Confidence.trials_used in
+  check bool_c "the 3-clause tuple sampled" true (spent > 0);
+  check int_c "summary total" spent summary.Confidence.stream_trials;
+  check int_c "governor charged" spent (Budget.spent b);
+  Array.iteri
+    (fun i clauses ->
+      let cap =
+        Karp_luby.trials_for (Dnf.prepare w clauses) ~eps:0.1 ~delta:0.1
+      in
+      check bool_c
+        (Printf.sprintf "tuple %d within its Chernoff cap" i)
+        true
+        (stats.Confidence.trials_used.(i) <= cap))
+    clause_sets;
+  Alcotest.check_raises "bad eps" (Invalid_argument "Confidence.run_stream")
     (fun () ->
-      ignore (Confidence.run (Rng.create ~seed:1) batch ~eps:0. ~delta:0.1));
-  check int_c "empty batch"
-    0
+      ignore
+        (Confidence.run (Rng.create ~seed:1) w clause_sets ~eps:0. ~delta:0.1));
+  check int_c "empty batch" 0
     (Array.length
-       (Confidence.run (Rng.create ~seed:1)
-          (Confidence.prepare w [||])
-          ~eps:0.1 ~delta:0.1))
+       (fst (run_batch (Rng.create ~seed:1) w [||] ~eps:0.1 ~delta:0.1)))
 
 (* ------------------------------------------------------------------ *)
 (* Lineage compilation                                                  *)
@@ -494,29 +513,37 @@ let test_compile_solve_accuracy () =
      the fixture when compilation is disabled. *)
   let w, clauses = fixture () in
   let c = Compile.compile ~fuel:0 w clauses in
-  let o = Compile.solve (Rng.create ~seed:11) c ~eps:0.05 ~delta:0.01 in
-  check bool_c
-    (Printf.sprintf "estimate %.4f near 0.88" o.Compile.value)
-    true
-    (Float.abs (o.Compile.value -. 0.88) <= 0.05 *. 0.88);
-  check bool_c "spent trials" true (o.Compile.trials > 0);
-  check bool_c "residual mass covers the estimate" true
-    (Float.abs (o.Compile.residual_mass -. o.Compile.value) <= 1e-9)
+  List.iter
+    (fun eps ->
+      let o = Compile.solve (Rng.create ~seed:11) c ~eps ~delta:0.01 in
+      check bool_c
+        (Printf.sprintf "eps %g: estimate %.4f near 0.88" eps o.Compile.value)
+        true
+        (Float.abs (o.Compile.value -. 0.88) <= eps *. 0.88);
+      check bool_c "spent trials" true (o.Compile.trials > 0);
+      check bool_c "residual mass covers the estimate" true
+        (Float.abs (o.Compile.residual_mass -. o.Compile.value) <= 1e-9))
+    [ 0.05; 0.1; 0.3 ]
 
 let prop_compile_matches_exact =
+  (* Unbounded fuel is the float Shannon solver: within 1e-9 of the rational
+     oracle, on mid-size DNFs and on small ones with 1- and 2-literal
+     clauses. *)
   QCheck.Test.make ~name:"compiled confidence = exact solver" ~count:120
     (QCheck.int_range 0 100_000) (fun seed ->
       let rng = Rng.create ~seed in
-      let w = Wtable.create () in
-      let clauses =
-        Gen.random_dnf rng w ~vars:8 ~clauses:6 ~clause_len:3
+      let matches ~vars ~clauses ~clause_len =
+        let w = Wtable.create () in
+        let clauses = Gen.random_dnf rng w ~vars ~clauses ~clause_len in
+        let c = Compile.compile ~fuel:max_int w clauses in
+        match Compile.exact_value c with
+        | None -> false
+        | Some got ->
+            let expect = Q.to_float (Pqdb_urel.Confidence.exact w clauses) in
+            Float.abs (got -. expect) <= 1e-9
       in
-      let c = Compile.compile ~fuel:1_000_000 w clauses in
-      if not (Compile.is_exact c) then false
-      else
-        let got = Option.get (Compile.exact_value c) in
-        let expect = Q.to_float (Pqdb_urel.Confidence.exact w clauses) in
-        Float.abs (got -. expect) <= 1e-6)
+      matches ~vars:8 ~clauses:6 ~clause_len:3
+      && matches ~vars:4 ~clauses:3 ~clause_len:(1 + (seed mod 2)))
 
 let prop_compile_residual_path_tracks_exact =
   (* Even at tiny fuel the solve must stay within the requested relative
@@ -536,15 +563,15 @@ let prop_compile_residual_path_tracks_exact =
       in
       Float.abs (o.Compile.value -. expect) <= (0.2 *. expect) +. 1e-9)
 
-let prop_weight_aware_budgets_sound =
-  (* The weight-aware residual targets (εᵢ ∝ (Kᵢ/aᵢ)^⅓ under
-     Σ aᵢεᵢ ≤ ε·T_lo) must never cost soundness: across random DNFs and
-     fuels — including fuel levels that leave several residuals with very
-     different path weights — the certified interval brackets the exact
-     probability and a complete outcome keeps the relative-ε contract.
-     Fixed seeds keep the run deterministic; per-case failure probability
-     is δ = 0.01, so a failure here is a 3-sigma-equivalent event. *)
-  QCheck.Test.make ~name:"weight-aware residual budgets stay sound" ~count:60
+let prop_residual_budgets_sound =
+  (* The per-residual (ε, δ/r) pass must keep the tuple's contract: across
+     random DNFs and fuels — including fuel levels that leave several
+     residuals with very different path weights — the certified interval
+     brackets the exact probability and a complete outcome keeps the
+     relative-ε contract.  Fixed seeds keep the run deterministic;
+     per-case failure probability is δ = 0.01, so a failure here is a
+     3-sigma-equivalent event. *)
+  QCheck.Test.make ~name:"residual budgets stay sound" ~count:60
     (QCheck.int_range 0 100_000) (fun seed ->
       let rng = Rng.create ~seed:(seed + 17) in
       let w = Wtable.create () in
@@ -563,73 +590,128 @@ let prop_weight_aware_budgets_sound =
         (not o.Compile.complete)
         || Float.abs (o.Compile.value -. expect) <= (eps *. expect) +. 1e-9
       in
-      (* [lo, hi] brackets the true probability, not the point estimate:
-         the certified interval intersected with the relative-ε band can
-         exclude [value] by a hair while both still contain the truth. *)
       let interval_sane = o.Compile.lo <= o.Compile.hi +. 1e-9 in
       bracketed && relative_ok && interval_sane)
+
+let prop_bracket_invariant =
+  (* Every sampled answer lies inside its own certified bracket, inside
+     [0, 1] — [0 ≤ lo ≤ value ≤ hi ≤ 1] exactly, no slack — whatever the
+     fuel (pure FPRAS, truncated Shannon with its truncation guard, default
+     compilation), the requested ε, and the governor (none, a binding trial
+     cap, cancelled before the first trial).  Dense DNFs whose probability
+     is close to 1 are where raw estimates overshoot. *)
+  QCheck.Test.make ~name:"bracket invariant lo<=v<=hi" ~count:90
+    (QCheck.int_range 0 100_000) (fun seed ->
+      let rng = Rng.create ~seed:(seed + 29) in
+      let w = Wtable.create () in
+      let vars = 6 + Rng.int rng 30 and nclauses = 4 + Rng.int rng 30 in
+      let clauses =
+        Gen.random_dnf rng w ~vars ~clauses:nclauses
+          ~clause_len:(1 + Rng.int rng 3)
+      in
+      let fuel = [| 0; 64; Compile.default_fuel |].(seed mod 3) in
+      let eps = [| 0.1; 0.3; 0.6 |].(seed / 3 mod 3) in
+      let budget () =
+        match seed / 9 mod 3 with
+        | 0 -> None
+        | 1 -> Some (Budget.create ~max_trials:(1 + Rng.int rng 200) ())
+        | _ ->
+            let b = Budget.create () in
+            Budget.cancel b;
+            Some b
+      in
+      let ordered lo v hi = 0. <= lo && lo <= v && v <= hi && hi <= 1. in
+      let p =
+        Karp_luby.adaptive_partial ?budget:(budget ())
+          (Rng.create ~seed:(seed + 1)) (Dnf.prepare w clauses) ~eps
+          ~delta:0.05
+      in
+      let o =
+        Compile.solve ?budget:(budget ()) (Rng.create ~seed:(seed + 1))
+          (Compile.compile ~fuel w clauses) ~eps ~delta:0.05
+      in
+      ordered p.Karp_luby.p_lo p.Karp_luby.p_estimate p.Karp_luby.p_hi
+      && ordered o.Compile.lo o.Compile.value o.Compile.hi)
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive stopping rule                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [adaptive_partial] without a budget as (estimate, trials). *)
+let adaptive rng dnf ~eps ~delta =
+  let p = Karp_luby.adaptive_partial rng dnf ~eps ~delta in
+  (p.Karp_luby.p_estimate, p.Karp_luby.p_trials)
+
 let test_adaptive_degenerate () =
   let w, _ = fixture () in
   let rng = Rng.create ~seed:3 in
   check (Alcotest.pair (Alcotest.float 0.) int_c) "false -> (0, 0)" (0., 0)
-    (Karp_luby.adaptive rng (Dnf.prepare w []) ~eps:0.1 ~delta:0.1);
+    (adaptive rng (Dnf.prepare w []) ~eps:0.1 ~delta:0.1);
   check (Alcotest.pair (Alcotest.float 0.) int_c) "true -> (1, 0)" (1., 0)
-    (Karp_luby.adaptive rng
-       (Dnf.prepare w [ Assignment.empty ])
-       ~eps:0.1 ~delta:0.1);
+    (adaptive rng (Dnf.prepare w [ Assignment.empty ]) ~eps:0.1 ~delta:0.1);
   let x = Wtable.add_var w [ Q.of_ints 3 10; Q.of_ints 7 10 ] in
-  let p, n =
-    Karp_luby.adaptive rng
-      (Dnf.prepare w [ Assignment.singleton x 1 ])
-      ~eps:0.1 ~delta:0.1
-  in
-  check (Alcotest.float 1e-9) "single clause exact" 0.7 p;
-  check int_c "single clause free" 0 n;
+  let single = Dnf.prepare w [ Assignment.singleton x 1 ] in
+  let p = Karp_luby.adaptive_partial rng single ~eps:0.1 ~delta:0.1 in
+  check (Alcotest.float 1e-9) "single clause exact" 0.7 p.Karp_luby.p_estimate;
+  check int_c "single clause free" 0 p.Karp_luby.p_trials;
+  check bool_c "single clause is a complete point" true
+    (p.Karp_luby.p_complete && p.Karp_luby.p_lo = p.Karp_luby.p_hi
+    && p.Karp_luby.p_eps = 0.);
   check bool_c "invalid eps rejected" true
     (try
-       ignore
-         (Karp_luby.adaptive rng (Dnf.prepare w [ Assignment.singleton x 1 ])
-            ~eps:0. ~delta:0.1);
+       ignore (Karp_luby.adaptive_partial rng single ~eps:0. ~delta:0.1);
        false
      with Invalid_argument _ -> true)
 
 let test_adaptive_guarantee_and_savings () =
-  (* Statistical check of the DKLR schedule on the fixture (p = 0.88,
-     M = 1.16): over many runs the empirical failure rate must stay near
-     delta, and the mean trial count must undercut the fixed Chernoff
+  (* Statistical check of the DKLR loop on the fixture (p = 0.88,
+     M = 1.16) at ε ∈ {0.1, 0.3}: over many runs the empirical failure rate
+     must stay near delta, the certified interval must hold the truth as
+     often, and the mean trial count must undercut the fixed Chernoff
      budget. *)
   let w, clauses = fixture () in
   let dnf = Dnf.prepare w clauses in
-  let eps = 0.1 and delta = 0.05 in
-  let fixed = Karp_luby.trials_for dnf ~eps ~delta in
-  let runs = 200 in
-  let failures = ref 0 and total_trials = ref 0 in
-  for seed = 1 to runs do
-    let p, n = Karp_luby.adaptive (Rng.create ~seed) dnf ~eps ~delta in
-    total_trials := !total_trials + n;
-    if Float.abs (p -. 0.88) > eps *. 0.88 then incr failures
-  done;
-  let mean_trials = float_of_int !total_trials /. float_of_int runs in
-  check bool_c
-    (Printf.sprintf "failure rate %d/%d within delta + slack" !failures runs)
-    true
-    (float_of_int !failures /. float_of_int runs <= delta +. 0.05);
-  check bool_c
-    (Printf.sprintf "mean trials %.0f < fixed budget %d" mean_trials fixed)
-    true
-    (mean_trials < float_of_int fixed)
+  let delta = 0.05 in
+  List.iter
+    (fun eps ->
+      let fixed = Karp_luby.trials_for dnf ~eps ~delta in
+      let runs = 200 in
+      let failures = ref 0 and misses = ref 0 and spent = ref 0 in
+      for seed = 1 to runs do
+        let p =
+          Karp_luby.adaptive_partial (Rng.create ~seed) dnf ~eps ~delta
+        in
+        spent := !spent + p.Karp_luby.p_trials;
+        if Float.abs (p.Karp_luby.p_estimate -. 0.88) > eps *. 0.88 then
+          incr failures;
+        if not (p.Karp_luby.p_lo <= 0.88 && 0.88 <= p.Karp_luby.p_hi) then
+          incr misses
+      done;
+      let mean_trials = float_of_int !spent /. float_of_int runs in
+      check bool_c
+        (Printf.sprintf "eps %g: failure rate %d/%d within delta + slack" eps
+           !failures runs)
+        true
+        (float_of_int !failures /. float_of_int runs <= delta +. 0.05);
+      check bool_c
+        (Printf.sprintf "eps %g: bracket misses %d/%d within delta + slack"
+           eps !misses runs)
+        true
+        (float_of_int !misses /. float_of_int runs <= delta +. 0.05);
+      check bool_c
+        (Printf.sprintf "eps %g: mean trials %.0f < fixed budget %d" eps
+           mean_trials fixed)
+        true
+        (mean_trials < float_of_int fixed))
+    [ 0.1; 0.3 ]
 
 let test_adaptive_deterministic () =
   let w, clauses = fixture () in
   let dnf = Dnf.prepare w clauses in
-  let a = Karp_luby.adaptive (Rng.create ~seed:77) dnf ~eps:0.2 ~delta:0.1 in
-  let b = Karp_luby.adaptive (Rng.create ~seed:77) dnf ~eps:0.2 ~delta:0.1 in
-  check (Alcotest.pair (Alcotest.float 0.) int_c) "same seed, same outcome" a b
+  let run () =
+    Karp_luby.adaptive_partial (Rng.create ~seed:77) dnf ~eps:0.2 ~delta:0.1
+  in
+  check bool_c "same seed, same outcome" true (run () = run ())
 
 (* ------------------------------------------------------------------ *)
 (* Resident pool                                                        *)
@@ -674,10 +756,9 @@ let test_batch_compiled_deterministic_across_pool_sizes () =
      compilation disabled every tuple samples, and the estimates still
      depend only on the parent RNG state — not on the pool size. *)
   let w, clause_sets = batch_fixture () in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let run nworkers =
     fst
-      (Confidence.run_with_stats ~nworkers (Rng.create ~seed:83) batch
+      (run_batch ~nworkers ~compile_fuel:0 (Rng.create ~seed:83) w clause_sets
          ~eps:0.1 ~delta:0.1)
   in
   let reference = run 1 in
@@ -695,9 +776,8 @@ let test_batch_compiled_deterministic_across_pool_sizes () =
 let test_batch_stats () =
   let w, clause_sets = batch_fixture () in
   (* Default fuel: everything in the fixture compiles exactly. *)
-  let batch = Confidence.prepare w clause_sets in
   let estimates, stats =
-    Confidence.run_with_stats (Rng.create ~seed:29) batch ~eps:0.1 ~delta:0.1
+    run_batch (Rng.create ~seed:29) w clause_sets ~eps:0.1 ~delta:0.1
   in
   check (Alcotest.float 1e-9) "fully exact" 1.
     stats.Confidence.exact_fraction;
@@ -705,9 +785,9 @@ let test_batch_stats () =
     (Array.for_all (fun n -> n = 0) stats.Confidence.trials_used);
   check (Alcotest.float 1e-9) "tuple 0 exact" 0.88 estimates.(0);
   (* fuel 0: the multi-clause tuple samples, the trivial ones stay free. *)
-  let batch0 = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let _, stats0 =
-    Confidence.run_with_stats (Rng.create ~seed:29) batch0 ~eps:0.1 ~delta:0.1
+    run_batch ~compile_fuel:0 (Rng.create ~seed:29) w clause_sets ~eps:0.1
+      ~delta:0.1
   in
   check bool_c "multi-clause tuple sampled" true
     (stats0.Confidence.trials_used.(0) > 0);
@@ -794,7 +874,8 @@ let () =
             test_compile_solve_accuracy;
           qcheck prop_compile_matches_exact;
           qcheck prop_compile_residual_path_tracks_exact;
-          qcheck prop_weight_aware_budgets_sound;
+          qcheck prop_residual_budgets_sound;
+          qcheck prop_bracket_invariant;
         ] );
       ( "adaptive stopping",
         [

@@ -42,6 +42,14 @@ let exact_probs w clause_sets =
     (fun clauses -> Q.to_float (Pqdb_urel.Confidence.exact w clauses))
     clause_sets
 
+(* The materialized batch run with compilation off (every multi-clause tuple
+   samples): estimates and stats, summary dropped. *)
+let run_batch ?budget rng w clause_sets ~eps ~delta =
+  let estimates, stats, _ =
+    Confidence.run ?budget ~compile_fuel:0 rng w clause_sets ~eps ~delta
+  in
+  (estimates, stats)
+
 let assert_sound_intervals name exact (stats : Confidence.stats) =
   Array.iteri
     (fun i p ->
@@ -102,16 +110,20 @@ let test_budget_deadline_sticky () =
 (* ------------------------------------------------------------------ *)
 
 let test_adaptive_partial_no_budget_bit_identical () =
+  (* One loop: no budget and a budget that never exhausts are the same
+     computation, bit for bit, and the budget is charged every trial. *)
   let w, clause_sets = batch_fixture () in
   let dnf = Dnf.prepare w clause_sets.(0) in
-  let reference, trials =
-    Karp_luby.adaptive (Rng.create ~seed:7) dnf ~eps:0.1 ~delta:0.1
+  let b = Budget.create () in
+  let reference =
+    Karp_luby.adaptive_partial ~budget:b (Rng.create ~seed:7) dnf ~eps:0.1
+      ~delta:0.1
   in
   let p =
     Karp_luby.adaptive_partial (Rng.create ~seed:7) dnf ~eps:0.1 ~delta:0.1
   in
-  check (Alcotest.float 0.) "same estimate" reference p.Karp_luby.p_estimate;
-  check int_c "same trial count" trials p.Karp_luby.p_trials;
+  check bool_c "same partial" true (reference = p);
+  check int_c "budget charged per trial" p.Karp_luby.p_trials (Budget.spent b);
   check bool_c "complete" true p.Karp_luby.p_complete;
   check bool_c "estimate inside own interval" true
     (p.Karp_luby.p_lo <= p.Karp_luby.p_estimate
@@ -171,9 +183,8 @@ let test_adaptive_partial_interval_soundness () =
 let test_batch_no_budget_complete () =
   let w, clause_sets = batch_fixture () in
   let exact = exact_probs w clause_sets in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let _, stats =
-    Confidence.run_with_stats (Rng.create ~seed:5) batch ~eps:0.1 ~delta:0.05
+    run_batch (Rng.create ~seed:5) w clause_sets ~eps:0.1 ~delta:0.05
   in
   check bool_c "no budget: complete" true stats.Confidence.complete;
   assert_sound_intervals "no budget" exact stats;
@@ -188,10 +199,9 @@ let test_batch_trial_cap_sound () =
     (fun seed ->
       List.iter
         (fun cap ->
-          let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
           let b = Budget.create ~max_trials:cap () in
           let estimates, stats =
-            Confidence.run_with_stats ~budget:b (Rng.create ~seed) batch
+            run_batch ~budget:b (Rng.create ~seed) w clause_sets
               ~eps:0.05 ~delta:0.05
           in
           assert_sound_intervals
@@ -219,11 +229,10 @@ let test_batch_trial_cap_sound () =
 let test_batch_cancelled_budget_degrades () =
   let w, clause_sets = batch_fixture () in
   let exact = exact_probs w clause_sets in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let b = Budget.create () in
   Budget.cancel b;
   let _, stats =
-    Confidence.run_with_stats ~budget:b (Rng.create ~seed:11) batch ~eps:0.05
+    run_batch ~budget:b (Rng.create ~seed:11) w clause_sets ~eps:0.05
       ~delta:0.05
   in
   check bool_c "cancelled: incomplete" false stats.Confidence.complete;
@@ -249,12 +258,11 @@ let test_deadline_bounds_wallclock () =
   in
   let clause_sets = [| clauses |] in
   let exact = exact_probs w clause_sets in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let deadline = 0.2 in
   let b = Budget.create ~deadline_s:deadline () in
   let t0 = Unix.gettimeofday () in
   let _, stats =
-    Confidence.run_with_stats ~budget:b (Rng.create ~seed:13) batch
+    run_batch ~budget:b (Rng.create ~seed:13) w clause_sets
       ~eps:0.001 ~delta:0.01
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -271,10 +279,9 @@ let test_generous_budget_stays_complete () =
   (* A budget large enough to finish must not change completeness. *)
   let w, clause_sets = batch_fixture () in
   let exact = exact_probs w clause_sets in
-  let batch = Confidence.prepare ~compile_fuel:0 w clause_sets in
   let b = Budget.create ~max_trials:10_000_000 () in
   let _, stats =
-    Confidence.run_with_stats ~budget:b (Rng.create ~seed:17) batch ~eps:0.1
+    run_batch ~budget:b (Rng.create ~seed:17) w clause_sets ~eps:0.1
       ~delta:0.1
   in
   check bool_c "generous budget: complete" true stats.Confidence.complete;
@@ -291,20 +298,17 @@ let test_exact_batches_skip_pool () =
   Fun.protect ~finally:FP.reset (fun () ->
       let w = Wtable.create () in
       (* Empty batch. *)
-      let batch = Confidence.prepare w [||] in
       let estimates, stats =
-        Confidence.run_with_stats (Rng.create ~seed:1) batch ~eps:0.1
-          ~delta:0.1
+        run_batch (Rng.create ~seed:1) w [||] ~eps:0.1 ~delta:0.1
       in
       check int_c "empty batch: no estimates" 0 (Array.length estimates);
       check (Alcotest.float 0.) "empty batch: exact fraction" 1.
         stats.Confidence.exact_fraction;
       check bool_c "empty batch: complete" true stats.Confidence.complete;
       (* All-false and certain lineages: fully exact, no sampling tasks. *)
-      let batch = Confidence.prepare w [| []; [ Assignment.empty ] |] in
       let estimates, stats =
-        Confidence.run_with_stats (Rng.create ~seed:1) batch ~eps:0.1
-          ~delta:0.1
+        run_batch (Rng.create ~seed:1) w [| []; [ Assignment.empty ] |]
+          ~eps:0.1 ~delta:0.1
       in
       check (Alcotest.float 0.) "impossible tuple" 0. estimates.(0);
       check (Alcotest.float 0.) "certain tuple" 1. estimates.(1);

@@ -395,13 +395,6 @@ let prop_enumeration_equals_shannon =
       Q.equal (Confidence.by_enumeration w clauses)
         (Confidence.by_shannon w clauses))
 
-let prop_float_shannon_close =
-  QCheck.Test.make ~name:"float shannon within 1e-9 of exact" ~count:150
-    dnf_case_gen (fun seed ->
-      let w, clauses = build_case seed in
-      let exact = Q.to_float (Confidence.by_shannon w clauses) in
-      Float.abs (Confidence.by_shannon_float w clauses -. exact) < 1e-9)
-
 let test_total_assignments_weights () =
   let w = Wtable.create () in
   let x = Wtable.add_var w [ Q.of_ints 1 3; Q.of_ints 2 3 ] in
@@ -705,7 +698,6 @@ let () =
           qcheck prop_confidence_is_probability;
           qcheck prop_confidence_monotone_in_clauses;
           qcheck prop_enumeration_equals_shannon;
-          qcheck prop_float_shannon_close;
           qcheck prop_select_commutes_with_decode;
           qcheck prop_project_commutes_with_decode;
         ] );
