@@ -349,6 +349,39 @@ let confidence_engine () =
   Report.table
     ~header:[ "karp-luby, 200k trials"; "median"; "speedup vs serial" ]
     ([ "serial"; Report.fmt_seconds serial; "1.00x" ] :: kl_rows);
+  (* 1b. Compile alone, on the batch-compile DNF shape: 1000 random
+     20-variable, 20-clause, 3-literal DNFs that all compile exactly within
+     the default fuel.  No solve, no I/O — the compile layer by itself. *)
+  let cw = Wtable.create () in
+  let crng = Rng.create ~seed:212 in
+  let compile_sets =
+    Array.init 1000 (fun _ ->
+        Gen.random_dnf crng cw ~vars:20 ~clauses:20 ~clause_len:3)
+  in
+  let input_clauses =
+    Array.fold_left (fun n cs -> n + List.length cs) 0 compile_sets
+  in
+  let compile_all () = Array.map (Compile.compile cw) compile_sets in
+  let nodes =
+    Array.fold_left (fun n t -> n + Compile.size t) 0 (compile_all ())
+  in
+  let samples = Array.init 9 (fun _ -> snd (Report.timed compile_all)) in
+  let med = Pqdb_numeric.Stats.median samples in
+  let q1 = Pqdb_numeric.Stats.quantile samples 0.25
+  and q3 = Pqdb_numeric.Stats.quantile samples 0.75 in
+  record "compile-1000x20x20" med med;
+  Report.table
+    ~header:
+      [ "compile-1000x20x20"; "median"; "IQR (9 reps)"; "nodes"; "ns/clause" ]
+    [
+      [
+        Printf.sprintf "%d input clauses" input_clauses;
+        Printf.sprintf "%.1fms" (med *. 1e3);
+        Printf.sprintf "%.1f-%.1fms" (q1 *. 1e3) (q3 *. 1e3);
+        string_of_int nodes;
+        Printf.sprintf "%.0f" (med *. 1e9 /. float_of_int input_clauses);
+      ];
+    ];
   (* 2. Batched compiled confidence vs a per-tuple prepare+fpras loop.
      Both sides are timed end to end: the loop prepares every DNF, the
      batch compiles every tuple, then each solves. *)

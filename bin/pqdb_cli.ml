@@ -1435,8 +1435,8 @@ let faultpoints_arg =
           "Arm fault-injection sites for robustness drills (comma-separated, \
            repeatable), like the PQDB_FAULTPOINTS environment variable.  \
            Each entry names a known site, optionally with a shot count and \
-           a behavior: $(b,\\@raise) (default), $(b,\\@delay:MS), \
-           $(b,\\@stall) (block until disarmed, capped), or $(b,\\@torn) \
+           a behavior: $(b,@raise) (default), $(b,@delay:MS), \
+           $(b,@stall) (block until disarmed, capped), or $(b,@torn) \
            (truncated write).")
 
 let shard_size_arg =

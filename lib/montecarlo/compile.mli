@@ -13,6 +13,30 @@
     {!solve} is the single residual pass every approximate confidence goes
     through — batches, top-k, conditioning and serve alike.
 
+    {2 The compile kernel}
+
+    [compile] works on clauses local to one call.  The DNF's variables are
+    renumbered [0..k−1] in increasing W-table id, and each clause becomes a
+    sorted, unboxed [int array] of binding codes
+    [(local lsl 31) lor value].  A monomorphic comparison on codes orders
+    clauses exactly as [Assignment.compare] orders the originals (length
+    first, then lexicographically), so normalization at every node — sort,
+    deduplicate, collapse on the empty clause, drop subsumed clauses up to
+    {!Lineage.subsumption_cap} — matches {!Lineage.normalize} clause for
+    clause.  One pass per node does two jobs.  It finds variable-connected
+    components with owner and parent [int array]s.  It also counts the
+    clauses each variable occurs in, which gives the pivot: most clauses,
+    smallest variable on ties, universal when it occurs in every clause.
+    Conditioning works on the array form directly.  A component of a fully
+    normalized set (at most the cap) is already normalized and is not
+    normalized again.
+
+    Every [Sum] or independent-OR node whose children are all constants is
+    folded into one constant, computed by the same left fold {!value}
+    would run on it, so every float keeps its bits.  An exact tuple
+    therefore compiles to a single node, and only subtrees that reach a
+    residual keep their structure.
+
     {2 Error propagation}
 
     The compiled tree combines children only through
@@ -43,7 +67,9 @@ val compile : ?fuel:int -> Wtable.t -> Assignment.t list -> t
     baseline.  Independent-component splits and disjoint-OR expansions are
     free (they are linear-time and always shrink the problem).
     Deterministic: the tree and residual numbering are a pure function of
-    (W table, clause list, fuel). *)
+    (W table, clause list, fuel).
+    @raise Invalid_argument when a binding value is negative or does not
+    fit the 31-bit value field of the clause code. *)
 
 val is_exact : t -> bool
 val exact_value : t -> float option
@@ -67,7 +93,9 @@ val value : t -> float array -> float
     @raise Invalid_argument on an estimate-count mismatch. *)
 
 val size : t -> int
-(** Node count (diagnostics). *)
+(** Node count after constant folding (diagnostics): [1] whenever
+    [is_exact], otherwise the nodes on paths that reach a residual plus
+    their folded constant siblings. *)
 
 type outcome = {
   value : float;  (** the (ε, δ) estimate — exact when [trials = 0] *)

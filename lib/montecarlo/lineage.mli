@@ -1,7 +1,8 @@
 (** Structural normalization of lineage DNFs, in the spirit of Koch &
-    Olteanu's ws-tree decompositions: the cheap, always-sound rewrites the
-    confidence compiler ({!Compile}) applies before deciding whether a clause
-    set needs Monte-Carlo sampling at all.
+    Olteanu's ws-tree decompositions: cheap, always-sound rewrites.  It
+    canonicalizes {!Memo} keys and conditioning's violation DNF, and gives
+    the compiler's fallback DNF; {!Compile} applies the same rewrite at every
+    node of its own clause form.
 
     A DNF here is a list of {!Pqdb_urel.Assignment} clauses over the
     independent W-table variables; its probability is the weight of the union
@@ -13,25 +14,9 @@ val normalize : Assignment.t list -> Assignment.t list
 (** Deduplicate (structural equality), collapse to [[Assignment.empty]] when
     some clause is empty (trivially true), and drop subsumed clauses: [b] is
     redundant when some other clause [a] has [Assignment.subsumes a b].
-    Subsumption is skipped above an internal size cap (quadratic pass); the
-    result is then still equivalent, just possibly redundant. *)
+    Subsumption is skipped above {!subsumption_cap} clauses (quadratic
+    pass); the result is then still equivalent, just possibly redundant. *)
 
-val components : Assignment.t list -> Assignment.t list list
-(** Partition clauses into variable-connected components (union-find over the
-    clauses' variables).  Components mention pairwise-disjoint variable sets,
-    so they are independent events: [P(⋁ components) = 1 − Π (1 − Pᵢ)].
-    Deterministic order (first clause occurrence).  [components [] = [[]]]. *)
-
-val universal_var : Assignment.t list -> Wtable.var option
-(** A variable bound in {e every} clause (smallest id when several).
-    Expanding on it is free — each branch strictly shrinks all surviving
-    clauses — and the branches are mutually disjoint events. *)
-
-val most_shared_var : Assignment.t list -> Wtable.var option
-(** The variable occurring in the most clauses (smallest id on ties): the
-    DPLL-style pivot for bounded Shannon expansion.  [None] iff the clause
-    set has no variables. *)
-
-val condition : Assignment.t list -> Wtable.var -> int -> Assignment.t list
-(** [condition cs v x]: the residual DNF under [v = x] — clauses demanding
-    another value drop, the binding on [v] is removed from the rest. *)
+val subsumption_cap : int
+(** 512: the largest clause count {!normalize} (and the compiler's local
+    normalization, which must agree with it) runs subsumption on. *)

@@ -46,8 +46,7 @@ val subsumes : t -> t -> bool
     O(|a| + |b|) on the sorted binding arrays. *)
 
 val iter_vars : (Wtable.var -> unit) -> t -> unit
-(** Iterate over the domain without building a list — the lineage
-    partitioner's hot loop. *)
+(** Iterate over the domain without building a list. *)
 
 val weight : Wtable.t -> t -> Rational.t
 val weight_float : Wtable.t -> t -> float

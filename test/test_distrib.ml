@@ -451,7 +451,6 @@ let test_identity_across_worker_counts () =
 
 let test_kill_worker_mid_run () =
   clear_all ();
-  (* Heavier work per shard so the victim is mid-shard when killed. *)
   let eps = 0.05 in
   let rng = Rng.create ~seed:555 in
   let w = Wtable.create () in
@@ -466,48 +465,80 @@ let test_kill_worker_mid_run () =
     Confidence.run_stream ~options:opts (Rng.create ~seed) w sets ~eps ~delta
       ~emit:emit_ref
   in
-  let pids = ref [] in
-  let killed = ref false in
+  (* Worker 0 is the victim.  Its process stalls in "shard.run" (capped far
+     beyond the test), so a shard dealt to it can never come back; the
+     first frame it sends after its first order (a heartbeat) triggers the
+     SIGKILL.  The kill therefore always lands while that shard is in
+     flight, however fast the shard itself would have been.  Worker 1's
+     outcomes are held back until then, so it cannot drain the whole plan
+     before the victim is dealt a shard. *)
+  let ordered = Atomic.make false and killed = Atomic.make false in
   let emit2, est', lo', hi', tr', _ = collector n in
   let summary =
     Coordinator.run ~options:opts ~workers:2
       ~spawn:(fun id ->
-        let tr =
-          let to_w_r, to_w_w = Unix.pipe () in
-          let from_w_r, from_w_w = Unix.pipe () in
-          match Unix.fork () with
-          | 0 ->
-              Unix.close to_w_w;
-              Unix.close from_w_r;
-              let input = Unix.in_channel_of_descr to_w_r in
-              let output = Unix.out_channel_of_descr from_w_w in
-              (try
-                 Worker.serve ~shard_cost ~heartbeat_s:0.05
-                   (Rng.create ~seed) w sets ~eps ~delta ~input ~output
-               with _ -> ());
-              (try flush output with _ -> ());
-              Unix._exit 0
-          | pid ->
-              Unix.close to_w_r;
-              Unix.close from_w_w;
-              pids := pid :: !pids;
+        let to_w_r, to_w_w = Unix.pipe () in
+        let from_w_r, from_w_w = Unix.pipe () in
+        match Unix.fork () with
+        | 0 ->
+            Unix.close to_w_w;
+            Unix.close from_w_r;
+            if id = 0 then begin
+              FP.set_stall_cap_s 600.;
+              FP.arm ~mode:FP.Stall "shard.run"
+            end;
+            let input = Unix.in_channel_of_descr to_w_r in
+            let output = Unix.out_channel_of_descr from_w_w in
+            (try
+               Worker.serve ~shard_cost ~heartbeat_s:0.05
+                 (Rng.create ~seed) w sets ~eps ~delta ~input ~output
+             with _ -> ());
+            (try flush output with _ -> ());
+            Unix._exit 0
+        | pid ->
+            Unix.close to_w_r;
+            Unix.close from_w_w;
+            let t =
               Coordinator.channel_transport ~pid
                 ~close:(fun () -> ())
                 (Unix.in_channel_of_descr from_w_r)
                 (Unix.out_channel_of_descr to_w_w)
-        in
-        ignore id;
-        tr)
-      (Rng.create ~seed) w sets ~eps ~delta
-      ~emit:(fun o ->
-        (* First emission: both workers are busy on later shards — SIGKILL
-           one mid-shard and let the coordinator reassign. *)
-        if not !killed then begin
-          killed := true;
-          Unix.kill (List.hd !pids) Sys.sigkill
-        end;
-        emit2 o)
+            in
+            if id <> 0 then
+              { t with
+                Coordinator.recv =
+                  (fun () ->
+                    let m = t.Coordinator.recv () in
+                    (match m with
+                    | Some (Protocol.Outcome _) ->
+                        let give_up = Unix.gettimeofday () +. 30. in
+                        while
+                          (not (Atomic.get killed))
+                          && Unix.gettimeofday () < give_up
+                        do
+                          Thread.delay 0.005
+                        done
+                    | _ -> ());
+                    m) }
+            else
+              { t with
+                Coordinator.send =
+                  (fun m ->
+                    t.Coordinator.send m;
+                    match m with
+                    | Protocol.Order _ -> Atomic.set ordered true
+                    | _ -> ());
+                recv =
+                  (fun () ->
+                    let m = t.Coordinator.recv () in
+                    if Atomic.get ordered && not (Atomic.get killed) then begin
+                      Atomic.set killed true;
+                      Unix.kill pid Sys.sigkill
+                    end;
+                    m) })
+      (Rng.create ~seed) w sets ~eps ~delta ~emit:emit2
   in
+  check bool_c "victim killed" true (Atomic.get killed);
   check int_c "one worker lost" 1 summary.Coordinator.workers_lost;
   check bool_c "its shard was reassigned" true
     (summary.Coordinator.reassigned >= 1);

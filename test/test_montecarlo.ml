@@ -797,6 +797,198 @@ let test_batch_stats () =
     (stats0.Confidence.exact_fraction > 0.
     && stats0.Confidence.exact_fraction < 1.)
 
+(* ------------------------------------------------------------------ *)
+(* Compile kernel: bit-identity pins                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The [pqdb batch --gen N] lineage shape (default --gen-seed 209): Bernoulli
+   singletons with one 12x12 random DNF in ten. *)
+let gen_batch_sets n =
+  let rng = Rng.create ~seed:209 in
+  let w = Wtable.create () in
+  let sets =
+    Array.init n (fun i ->
+        if i mod 10 = 9 then
+          Gen.random_dnf rng w ~vars:12 ~clauses:12 ~clause_len:3
+        else
+          let num = 1 + Rng.int rng 9 in
+          let v =
+            Wtable.add_var w [ Q.of_ints (10 - num) 10; Q.of_ints num 10 ]
+          in
+          [ Assignment.singleton v 1 ])
+  in
+  (w, sets)
+
+(* Lineage over multi-valued variables: two repair-keyed relations joined
+   on B and projected to it, so every clause binds a key-group variable per
+   side.  Fuel 64 leaves residuals here; the default resolves them all. *)
+let repair_key_sets () =
+  let module Translate = Pqdb_urel.Translate in
+  let rng = Rng.create ~seed:31 in
+  let w = Wtable.create () in
+  let repaired attrs key weight =
+    Gen.weighted_relation rng ~attrs ~rows:40 ~domain:5 ~weight
+    |> Urelation.of_relation
+    |> Translate.repair_key w ~key ~weight
+  in
+  let r = repaired [ "A"; "B" ] [ "A" ] "W" in
+  let s = repaired [ "B"; "C" ] [ "C" ] "V" in
+  let sets =
+    Translate.join r s
+    |> Translate.project_attrs [ "B" ]
+    |> Urelation.clauses_by_tuple |> List.map snd |> Array.of_list
+  in
+  assert (Array.exists (List.exists (fun c -> Assignment.cardinal c = 2)) sets);
+  let multi_valued v = Wtable.domain_size w v > 2 in
+  assert (
+    Array.exists
+      (List.exists (fun c -> List.exists multi_valued (Assignment.vars c)))
+      sets);
+  (w, sets)
+
+(* One clause set above the 512-clause subsumption cap made of three
+   variable-disjoint blocks of ~200 clauses, each carrying clauses that a
+   sibling subsumes: the top level keeps them, the components must not. *)
+let over_cap_set () =
+  let rng = Rng.create ~seed:57 in
+  let w = Wtable.create () in
+  let block () =
+    let base = Gen.random_dnf rng w ~vars:14 ~clauses:150 ~clause_len:3 in
+    let subsumed =
+      List.filteri (fun i _ -> i mod 3 = 0) base
+      |> List.filter_map (fun c ->
+             let fresh = Wtable.add_var w [ Q.half; Q.half ] in
+             Assignment.union c (Assignment.singleton fresh (Rng.int rng 2)))
+    in
+    base @ subsumed
+  in
+  let clauses = List.concat [ block (); block (); block () ] in
+  assert (List.length (List.sort_uniq Assignment.compare clauses) > 512);
+  (w, [| clauses |])
+
+(* "%h" rendering of the batch answers (as [pqdb batch] prints them) and of
+   every tuple's residual count and weights. *)
+let render_run ~fuel (w, sets) =
+  let b = Buffer.create 4096 in
+  let est, stats, _ =
+    Confidence.run ~compile_fuel:fuel (Rng.create ~seed:42) w sets ~eps:0.1
+      ~delta:0.05
+  in
+  Array.iteri
+    (fun i e ->
+      let lo, hi = stats.Confidence.intervals.(i) in
+      Printf.bprintf b "%d %h %h %h %d\n" i e lo hi
+        stats.Confidence.trials_used.(i))
+    est;
+  Array.iteri
+    (fun i set ->
+      let c = Compile.compile ~fuel w set in
+      Printf.bprintf b "%d %d" i (Compile.residual_count c);
+      Array.iter (Printf.bprintf b " %h") (Compile.residual_weights c);
+      Buffer.add_char b '\n')
+    sets;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Digests recorded on the list-based compiler this kernel replaced: the
+   tree values, residual numbering and clause order, and fuel charges must
+   all survive any rewrite of [Compile.compile] bit for bit. *)
+let test_compile_bit_identity () =
+  let gen = gen_batch_sets 2000
+  and rk = repair_key_sets ()
+  and cap = over_cap_set ()
+  and default = Compile.default_fuel in
+  List.iter
+    (fun (name, input, fuel, expect) ->
+      check Alcotest.string
+        (Printf.sprintf "%s at fuel %d" name fuel)
+        expect (render_run ~fuel input))
+    [
+      ("gen 2000", gen, 0, "88b95f691de6556551c1871bdb3e1d13");
+      ("gen 2000", gen, 64, "980da820a9900c3c173f782a006a22e7");
+      ("gen 2000", gen, default, "5cf6880e8e4ee55783763143a8167f9e");
+      ("repair-key", rk, 0, "bb40cf06b782eb938a2bd84de58b3ad1");
+      ("repair-key", rk, 64, "d925407e079e0f69a96c2b17b084211e");
+      ("repair-key", rk, default, "5ec74e1dfdbbe73c52a948770cf02fe3");
+      ("over cap", cap, 64, "a543bf678e5bf566704a94239835d64e");
+      ("over cap", cap, default, "5c831e4db0f522f4cd45a93ee2076221");
+    ]
+
+(* Random DNFs over multi-valued variables (domains 2 to 4, integer
+   weights), salted with the cases normalization must handle: duplicate
+   clauses, clauses subsumed by a sibling, and sometimes the empty
+   clause. *)
+let multi_valued_dnf rng w ~vars ~clauses =
+  let ids =
+    Array.init vars (fun _ ->
+        let d = 2 + Rng.int rng 3 in
+        let ws = List.init d (fun _ -> 1 + Rng.int rng 5) in
+        let total = List.fold_left ( + ) 0 ws in
+        (Wtable.add_var w (List.map (fun k -> Q.of_ints k total) ws), d))
+  in
+  let clause () =
+    let chosen = ref [] in
+    for _ = 1 to 1 + Rng.int rng 3 do
+      let v, d = ids.(Rng.int rng vars) in
+      if not (List.mem_assoc v !chosen) then
+        chosen := (v, Rng.int rng d) :: !chosen
+    done;
+    Assignment.of_list !chosen
+  in
+  let base = List.init clauses (fun _ -> clause ()) in
+  let extra =
+    List.filter_map
+      (fun c ->
+        match Rng.int rng 4 with
+        | 0 -> Some c
+        | 1 ->
+            let v, d = ids.(Rng.int rng vars) in
+            Assignment.union c (Assignment.singleton v (Rng.int rng d))
+        | _ -> None)
+      base
+  in
+  let empty = if Rng.int rng 10 = 0 then [ Assignment.empty ] else [] in
+  base @ extra @ empty
+
+let prop_kernel_matches_shannon =
+  QCheck.Test.make ~name:"kernel = rational Shannon, exact trees fold"
+    ~count:150 (QCheck.int_range 0 100_000) (fun seed ->
+      let rng = Rng.create ~seed in
+      let w = Wtable.create () in
+      let clauses =
+        multi_valued_dnf rng w ~vars:(2 + Rng.int rng 7)
+          ~clauses:(Rng.int rng 9)
+      in
+      let c = Compile.compile ~fuel:max_int w clauses in
+      let expect = Q.to_float (Pqdb_urel.Confidence.by_shannon w clauses) in
+      (match Compile.exact_value c with
+      | Some got -> Float.abs (got -. expect) <= 1e-9
+      | None -> false)
+      && Compile.size c = 1
+      &&
+      (* Fuel-bounded trees fold every exact subtree: an exact tree is one
+         node at any fuel. *)
+      let c8 = Compile.compile ~fuel:8 w clauses in
+      (not (Compile.is_exact c8)) || Compile.size c8 = 1)
+
+let test_kernel_rejects_unencodable_values () =
+  let w = Wtable.create () in
+  let x = Wtable.add_var w [ Q.half; Q.half ] in
+  let y = Wtable.add_var w [ Q.half; Q.half ] in
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "value %d" bad)
+        (Invalid_argument
+           "Compile.compile: binding value does not fit the clause code")
+        (fun () ->
+          ignore
+            (Compile.compile w
+               [
+                 Assignment.singleton x 1;
+                 Assignment.of_list [ (x, 0); (y, bad) ];
+               ])))
+    [ 1 lsl 31; -1; max_int ]
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -876,6 +1068,14 @@ let () =
           qcheck prop_compile_residual_path_tracks_exact;
           qcheck prop_residual_budgets_sound;
           qcheck prop_bracket_invariant;
+        ] );
+      ( "compile kernel",
+        [
+          Alcotest.test_case "bit-identical answers" `Quick
+            test_compile_bit_identity;
+          Alcotest.test_case "unencodable values rejected" `Quick
+            test_kernel_rejects_unencodable_values;
+          qcheck prop_kernel_matches_shannon;
         ] );
       ( "adaptive stopping",
         [
