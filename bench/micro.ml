@@ -382,6 +382,52 @@ let confidence_engine () =
         Printf.sprintf "%.0f" (med *. 1e9 /. float_of_int input_clauses);
       ];
     ];
+  (* 1c. Loading a .udbb of the batch-compile shape: 19,000 singleton
+     tuples on one tenths-valued variable each, plus 1000 20-var DNF
+     tuples, 39,000 variables in all.  A binary load decodes the header,
+     manifest and W table (relations stay mapped), so this times the W
+     decode: one exact rational parse and Wtable.add_var validation per
+     probability. *)
+  let ldb = Udb.create () in
+  let lw = Udb.wtable ldb in
+  let lrng = Rng.create ~seed:213 in
+  let id_tuple i = Tuple.of_list [ Pqdb_relational.Value.Int i ] in
+  Udb.add_urelation ldb "R"
+    (Urelation.make (Schema.of_list [ "id" ])
+       (List.concat
+          (List.init 20_000 (fun i ->
+               if i mod 20 = 19 then
+                 List.map
+                   (fun a -> (a, id_tuple i))
+                   (Gen.random_dnf lrng lw ~vars:20 ~clauses:20 ~clause_len:3)
+               else begin
+                 let num = 1 + Rng.int lrng 9 in
+                 let v =
+                   Wtable.add_var lw [ Q.of_ints (10 - num) 10; Q.of_ints num 10 ]
+                 in
+                 [ (Assignment.singleton v 1, id_tuple i) ]
+               end))));
+  let lpath = Filename.temp_file "pqdb_bench_load" Udb_binary.extension in
+  Udb_io.save lpath ldb;
+  let load_samples =
+    Array.init 11 (fun _ -> snd (Report.timed (fun () -> Udb_io.load lpath)))
+  in
+  Sys.remove lpath;
+  let lmed = Pqdb_numeric.Stats.median load_samples in
+  let lq1 = Pqdb_numeric.Stats.quantile load_samples 0.25
+  and lq3 = Pqdb_numeric.Stats.quantile load_samples 0.75 in
+  let lvars = Wtable.var_count lw in
+  record "udbb-load" lmed lmed;
+  Report.table
+    ~header:[ "udbb-load"; "median"; "IQR (11 reps)"; "us/var" ]
+    [
+      [
+        Printf.sprintf "%d W variables" lvars;
+        Printf.sprintf "%.1fms" (lmed *. 1e3);
+        Printf.sprintf "%.1f-%.1fms" (lq1 *. 1e3) (lq3 *. 1e3);
+        Printf.sprintf "%.2f" (lmed *. 1e6 /. float_of_int lvars);
+      ];
+    ];
   (* 2. Batched compiled confidence vs a per-tuple prepare+fpras loop.
      Both sides are timed end to end: the loop prepares every DNF, the
      batch compiles every tuple, then each solves. *)

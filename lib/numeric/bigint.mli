@@ -1,9 +1,18 @@
 (** Arbitrary-precision signed integers.
 
     Implemented from scratch (the sealed build environment has no [zarith])
-    as sign-magnitude numbers over base-2{^30} limbs.  The probabilistic
-    database needs exact integer arithmetic to represent world probabilities
-    such as 1/6 without rounding; see {!Rational}.
+    on zarith's plan: a value below 2{^60} in magnitude is a native [int],
+    anything larger is sign-magnitude over base-2{^30} limbs.  Every value
+    has exactly one of the two forms.  Operations on two native values run
+    in native ints (sums and differences overflow into limbs; products stay
+    native when both operands are below 2{^30}); mixed and large operands
+    take the limb code, where a one-limb divisor gets short division.  The
+    probabilistic database needs exact integer arithmetic to represent
+    world probabilities such as 1/6 without rounding, and almost all of
+    those numbers are small; see {!Rational}.
+
+    [hash], [to_float] and [to_string] do not depend on the form: they give
+    the same results as the limb fold over the magnitude.
 
     All operations are purely functional. *)
 
@@ -20,13 +29,15 @@ val of_int : int -> t
     [int], including [min_int]. *)
 
 val of_string : string -> t
-(** [of_string s] parses an optionally signed decimal numeral.
+(** [of_string s] parses an optionally signed decimal numeral; leading
+    zeros are allowed.
     @raise Invalid_argument on the empty string or non-digit characters. *)
 
 (** {1 Observers} *)
 
 val to_int_opt : t -> int option
-(** [to_int_opt x] is [Some n] when [x] fits a native [int]. *)
+(** [to_int_opt x] is [Some n] when [x] fits a native [int], [min_int]
+    included. *)
 
 val to_float : t -> float
 (** Nearest-float conversion; loses precision beyond 53 bits as usual. *)

@@ -104,6 +104,10 @@ let of_string s =
       | Some i ->
           let int_part = String.sub s 0 i in
           let frac = String.sub s (i + 1) (String.length s - i - 1) in
+          (* Only the integer part carries a sign: Bigint.of_string would
+             accept one here too, and ["1.-5"] would read as 19/20. *)
+          if frac <> "" && (frac.[0] = '-' || frac.[0] = '+') then
+            invalid_arg "Rational.of_string: sign in fraction digits";
           let digits = String.length frac in
           let whole =
             Bigint.of_string

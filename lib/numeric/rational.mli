@@ -23,7 +23,9 @@ val of_ints : int -> int -> t
 (** [of_ints n d] = [make (of_int n) (of_int d)]. *)
 
 val of_string : string -> t
-(** Parses ["n"], ["n/d"] or a decimal literal ["1.25"], ["-0.5"]. *)
+(** Parses ["n"], ["n/d"] or a decimal literal ["1.25"], ["-0.5"].  Only
+    the integer part of a decimal may carry a sign.
+    @raise Invalid_argument on malformed text, e.g. ["1.-5"]. *)
 
 val of_float : float -> t
 (** Exact conversion of a finite float (binary expansion).

@@ -33,6 +33,7 @@ type stats = {
   dropped : int;
   shed : int;
   reaped : int;
+  active : int;
   cache : Memo.stats;
 }
 
@@ -81,6 +82,7 @@ let stats t =
         dropped = t.dropped;
         shed = t.shed;
         reaped = t.reaped;
+        active = t.active;
         cache = Memo.stats t.cache;
       })
 
@@ -561,6 +563,34 @@ let watchdog t w =
          done)
        ())
 
+(* After the accept loop stops, let in-flight sessions finish writing
+   before [run] returns (the CLI exits right after it, taking the session
+   threads down mid-reply).  Idle sessions get their receive side shut, so
+   their blocked read sees EOF and they end at once; a session executing or
+   answering a request keeps its send side.  Sessions the watchdog cut are
+   not waited for: they will write nothing.  The wait is bounded by
+   [io_timeout_s], or [drain_default_s] when that is unset. *)
+let drain_default_s = 5.
+
+let drain t =
+  with_lock t.state (fun () ->
+      Hashtbl.iter
+        (fun _ slot ->
+          try Unix.shutdown slot.sfd Unix.SHUTDOWN_RECEIVE with _ -> ())
+        t.slots);
+  let writing () =
+    with_lock t.state (fun () ->
+        Hashtbl.fold
+          (fun _ slot n -> if slot.wedged then n - 1 else n)
+          t.slots t.active
+        > 0)
+  in
+  let bound = Option.value ~default:drain_default_s t.config.io_timeout_s in
+  let deadline = Unix.gettimeofday () +. bound in
+  while writing () && Unix.gettimeofday () < deadline do
+    Thread.delay 0.002
+  done
+
 let run ?(ready = fun () -> ()) t =
   (* A peer that hangs up mid-reply must surface as EPIPE in its session
      thread, not kill the daemon. *)
@@ -616,6 +646,7 @@ let run ?(ready = fun () -> ()) t =
           (try Unix.unlink path with Unix.Unix_error _ -> ())
       | Tcp _ -> ())
     accept_loop;
+  drain t;
   stats t
 
 let serve ?ready config = run ?ready (create config)

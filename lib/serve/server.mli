@@ -110,6 +110,7 @@ type stats = {
   dropped : int;  (** connections dropped at accept (injected faults) *)
   shed : int;  (** connections refused with a busy reply at the cap *)
   reaped : int;  (** sessions closed by idle timeout or the watchdog *)
+  active : int;  (** sessions still in flight *)
   cache : Pqdb_montecarlo.Memo.stats;
 }
 
@@ -122,8 +123,11 @@ val create : config -> t
 
 val run : ?ready:(unit -> unit) -> t -> stats
 (** Bind, call [ready] (e.g. print a readiness line), and serve until a
-    [shutdown] request.  Returns the final counters.  The listening socket
-    (and a Unix socket path) are cleaned up on exit. *)
+    [shutdown] request.  Before returning, idle sessions are closed and
+    in-flight ones (the [shutdown] requester's included) get up to
+    [io_timeout_s] — 5 s when unset — to finish writing their reply.
+    Returns the final counters.  The listening socket (and a Unix socket
+    path) are cleaned up on exit. *)
 
 val serve : ?ready:(unit -> unit) -> config -> stats
 (** [create] + [run]. *)

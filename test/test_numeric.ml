@@ -27,7 +27,14 @@ let test_bigint_min_int () =
   let x = B.of_int min_int in
   check string_c "to_string" "-4611686018427387904" (B.to_string x);
   check bool_c "neg roundtrip" true
-    (B.equal (B.neg (B.neg x)) x)
+    (B.equal (B.neg (B.neg x)) x);
+  check (Alcotest.option int_c) "to_int_opt" (Some min_int) (B.to_int_opt x);
+  check (Alcotest.option int_c) "via of_string" (Some min_int)
+    (B.to_int_opt (B.of_string "-4611686018427387904"));
+  (* One past either end of the native range does not fit. *)
+  check (Alcotest.option int_c) "min_int - 1" None
+    (B.to_int_opt (B.sub x B.one));
+  check (Alcotest.option int_c) "-min_int" None (B.to_int_opt (B.neg x))
 
 let test_bigint_string_roundtrip () =
   List.iter
@@ -123,6 +130,126 @@ let prop_string_roundtrip =
       in
       B.to_string (B.of_string s) = canonical)
 
+(* Operands straddling every representation boundary: the native/limb
+   switch at 2^60, the native-multiply bound 2^30, the native int range
+   (2^62, min_int, max_int), and multi-limb values with random limbs. *)
+let boundary_gen =
+  let open QCheck.Gen in
+  let around k =
+    map
+      (fun d -> B.add (B.shift_left B.one k) (B.of_int d))
+      (int_range (-3) 3)
+  in
+  let limbs =
+    map
+      (fun ls ->
+        List.fold_left
+          (fun acc l -> B.add (B.shift_left acc 30) (B.of_int l))
+          B.zero ls)
+      (list_size (int_range 1 6) (int_bound ((1 lsl 30) - 1)))
+  in
+  let magnitude =
+    oneof
+      [
+        oneofl [ 29; 30; 31; 59; 60; 61; 62; 63; 90; 120 ] >>= around;
+        oneofl [ B.of_int max_int; B.of_int min_int; B.zero; B.one ];
+        limbs;
+        map B.of_int (int_range (-1_000_000) 1_000_000);
+      ]
+  in
+  map2 (fun x neg -> if neg then B.neg x else x) magnitude bool
+
+let boundary_arb = QCheck.make ~print:B.to_string boundary_gen
+
+(* One representation per value: a result that fits a native int is
+   structurally [of_int] of it. *)
+let canonical x =
+  match B.to_int_opt x with Some v -> B.of_int v = x | None -> true
+
+let fits_native x =
+  B.compare x (B.of_int min_int) >= 0 && B.compare x (B.of_int max_int) <= 0
+
+let prop_boundary_divmod =
+  QCheck.Test.make ~name:"bigint divmod invariants at the boundaries"
+    ~count:1000 (QCheck.pair boundary_arb boundary_arb) (fun (a, b) ->
+      QCheck.assume (not (B.is_zero b));
+      let q, r = B.divmod a b in
+      B.equal a (B.add (B.mul q b) r)
+      && B.compare (B.abs r) (B.abs b) < 0
+      && (B.is_zero r || B.sign r = B.sign a)
+      && canonical q && canonical r)
+
+let prop_boundary_gcd =
+  QCheck.Test.make ~name:"bigint gcd divides both, at the boundaries"
+    ~count:500 (QCheck.pair boundary_arb boundary_arb) (fun (a, b) ->
+      let g = B.gcd a b in
+      B.sign g >= 0
+      && B.equal g (B.gcd b a)
+      && canonical g
+      && (if B.is_zero g then B.is_zero a && B.is_zero b
+          else B.is_zero (B.rem a g) && B.is_zero (B.rem b g)))
+
+let prop_boundary_arith =
+  QCheck.Test.make ~name:"bigint compare, sums and products at the boundaries"
+    ~count:1000 (QCheck.pair boundary_arb boundary_arb) (fun (a, b) ->
+      let s = B.add a b and d = B.sub a b and p = B.mul a b in
+      B.compare a b = -B.compare b a
+      && B.compare a b = B.sign d
+      && B.equal (B.sub s b) a
+      && B.equal (B.add d b) a
+      && (B.is_zero b || B.equal (B.div p b) a)
+      && List.for_all canonical [ s; d; p; B.neg a; B.abs a ]
+      && List.for_all
+           (fun x -> (B.to_int_opt x <> None) = fits_native x)
+           [ a; s; d; p ])
+
+let prop_boundary_decimal =
+  QCheck.Test.make ~name:"bigint decimal roundtrip at the boundaries"
+    ~count:500 boundary_arb (fun a ->
+      let s = B.to_string a in
+      let back = B.of_string s in
+      B.equal back a && canonical back
+      && B.hash back = B.hash a
+      && (match B.to_int_opt a with
+         | Some v -> s = string_of_int v
+         | None -> true))
+
+(* [hash] and the [%h] bits of [to_float], recorded on the limb-only
+   representation that preceded native small values: both must be
+   unchanged on either side of every representation boundary. *)
+let test_bigint_pinned_hash_float () =
+  List.iter
+    (fun (s, h, f) ->
+      let x = B.of_string s in
+      check int_c ("hash " ^ s) h (B.hash x);
+      check string_c ("to_float " ^ s) f (Printf.sprintf "%h" (B.to_float x)))
+    [
+      ("0", 7, "0x0p+0");
+      ("1", 249, "0x1p+0");
+      ("-1", 187, "-0x1p+0");
+      ("1073741823", 1073742071, "0x1.fffffff8p+29");
+      ("1073741824", 7689, "0x1p+30");
+      ("-1073741824", 5767, "-0x1p+30");
+      ("9007199254740993", 8396327, "0x1p+53");
+      ("18014398509481985", 16784935, "0x1p+54");
+      ("-18014398509481986", 16783044, "-0x1p+54");
+      ("18014398509481990", 16785090, "0x1.0000000000002p+54");
+      ("1152921504606846975", 34359746024, "0x1p+60");
+      ("-1152921504606846975", 34359744102, "-0x1p+60");
+      ("1152921504606846976", 238329, "0x1p+60");
+      ("-1152921504606846976", 178747, "-0x1p+60");
+      ("1152921504606846977", 239290, "0x1p+60");
+      ("4611686018427387903", 1065152126747, "0x1p+62");
+      ("-4611686018427387904", 178750, "-0x1p+62");
+      ("4611686018427387904", 238332, "0x1p+62");
+      ("1237940039285380274899124224", 7388169, "0x1p+90");
+      ("-1237940039285380274899136569", 373311022, "-0x1p+90");
+      ("1000000000000000000000000000007", 442828862125, "0x1.93e5939a08ceap+99");
+      ( "-123456789012345678901234567890123456789",
+        737999982598731,
+        "-0x1.7383a6958058p+126" );
+    ]
+
 let prop_mul_distributes =
   QCheck.Test.make ~name:"bigint a*(b+c) = a*b + a*c" ~count:300
     (QCheck.triple small_int small_int small_int) (fun (a, b, c) ->
@@ -171,7 +298,15 @@ let test_rational_of_string () =
   check q_testable "n/d" (Q.of_ints 22 7) (Q.of_string "22/7");
   check q_testable "decimal" (Q.of_ints 5 4) (Q.of_string "1.25");
   check q_testable "neg decimal" (Q.of_ints (-1) 2) (Q.of_string "-0.5");
-  check q_testable "int" (Q.of_int 42) (Q.of_string "42")
+  check q_testable "int" (Q.of_int 42) (Q.of_string "42");
+  (* A sign belongs to the integer part only. *)
+  List.iter
+    (fun s ->
+      check bool_c (s ^ " rejected") true
+        (match Q.of_string s with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ "1.-5"; "1.+5"; "-1.-5"; "0.+0"; ".-5" ]
 
 let test_rational_compare () =
   check bool_c "1/3 < 1/2" true Q.(of_ints 1 3 < half);
@@ -589,6 +724,12 @@ let () =
           qcheck prop_divmod_matches_int;
           qcheck prop_string_roundtrip;
           qcheck prop_mul_distributes;
+          qcheck prop_boundary_divmod;
+          qcheck prop_boundary_gcd;
+          qcheck prop_boundary_arith;
+          qcheck prop_boundary_decimal;
+          Alcotest.test_case "pinned hash and float bits" `Quick
+            test_bigint_pinned_hash_float;
         ] );
       ( "rational",
         [

@@ -343,6 +343,32 @@ let test_socket_round_trip () =
             (s.Server.cache.Memo.hits > 0));
       check bool_c "socket path cleaned up" false (Sys.file_exists sock))
 
+(* [run] returns only once every session is done: the shutdown reply is
+   written before the daemon lets its caller exit, and an idle session
+   still connected does not hold the return up to the drain bound. *)
+let test_shutdown_drains_sessions () =
+  clear_all ();
+  with_fixture_db (fun db ->
+      let sock = temp_path ".sock" in
+      let listen = Server.Unix_socket sock in
+      let srv = Server.create (config ~db_path:db listen) in
+      let stats = ref None in
+      let daemon = Thread.create (fun () -> stats := Some (Server.run srv)) () in
+      let idle = Client.connect ~retries:50 listen in
+      let c = Client.connect ~retries:50 listen in
+      let t0 = Unix.gettimeofday () in
+      let ok, body = Client.query c "shutdown" in
+      check bool_c "shutdown acknowledged" true ok;
+      check string_c "shutdown reply" "shutting down\n" body;
+      Thread.join daemon;
+      check bool_c "idle session closed, not waited out" true
+        (Unix.gettimeofday () -. t0 < 4.);
+      (match !stats with
+      | None -> Alcotest.fail "server did not return stats"
+      | Some s -> check int_c "no session active when run returns" 0 s.Server.active);
+      Client.close c;
+      Client.close idle)
+
 let test_accept_fault_containment () =
   clear_all ();
   with_fixture_db (fun db ->
@@ -475,6 +501,8 @@ let () =
       ( "socket",
         [
           Alcotest.test_case "round trip" `Quick test_socket_round_trip;
+          Alcotest.test_case "shutdown drains sessions" `Quick
+            test_shutdown_drains_sessions;
           Alcotest.test_case "accept fault containment" `Quick
             test_accept_fault_containment;
           Alcotest.test_case "stale socket reclaimed" `Quick

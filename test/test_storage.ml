@@ -256,6 +256,29 @@ let test_corrupt_corpus () =
           expect_malformed "flipped column byte" ~path:p (fun () ->
               Udb.find udb "tags")))
 
+(* A sign inside a probability's fraction digits is malformed text, not
+   another number: "1.-5" once read as 19/20, which here would complete a
+   valid distribution with 1/20 and load silently. *)
+let test_text_signed_fraction () =
+  with_temp_dir (fun dir ->
+      let udb = Udb.create () in
+      ignore (Wtable.add_var (Udb.wtable udb) [ Q.of_ints 19 20; Q.of_ints 1 20 ]);
+      let text = Filename.concat dir "db" in
+      Udb_io.save text udb;
+      ignore (Udb_io.load text);
+      let wpath = Filename.concat text "wtable.csv" in
+      let w = read_bytes wpath in
+      let rec find i =
+        if i + 5 > String.length w then Alcotest.fail "19/20 not in wtable.csv"
+        else if String.sub w i 5 = "19/20" then i
+        else find (i + 1)
+      in
+      let i = find 0 in
+      write_bytes wpath
+        (String.sub w 0 i ^ "1.-5" ^ String.sub w (i + 5) (String.length w - i - 5));
+      expect_malformed "signed fraction digits" ~path:wpath (fun () ->
+          Udb_io.load text))
+
 let test_load_faultpoint () =
   with_temp_dir (fun dir ->
       let module FP = Pqdb_runtime.Faultpoint in
@@ -290,5 +313,7 @@ let () =
         [
           Alcotest.test_case "corrupt corpus" `Quick test_corrupt_corpus;
           Alcotest.test_case "load fault point" `Quick test_load_faultpoint;
+          Alcotest.test_case "signed fraction in text W table" `Quick
+            test_text_signed_fraction;
         ] );
     ]
